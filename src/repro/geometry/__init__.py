@@ -10,7 +10,6 @@ from repro.geometry.airfoil import Airfoil
 from repro.geometry.bspline import BSplineAirfoil, BSplineCurve, open_uniform_knots
 from repro.geometry.io import read_dat, read_dat_string, to_dat_string, write_dat
 from repro.geometry.naca import naca, naca4, naca5
-from repro.geometry.parsec import ParsecAirfoil
 from repro.geometry.refine import outline_curvature, repanel
 from repro.geometry.sampling import (
     cosine_spacing,
@@ -25,7 +24,6 @@ __all__ = [
     "Airfoil",
     "BSplineAirfoil",
     "BSplineCurve",
-    "ParsecAirfoil",
     "ValidationIssue",
     "ValidationReport",
     "cosine_spacing",

@@ -13,7 +13,6 @@ from repro.linalg.analysis import (
     one_norm,
     relative_residual,
 )
-from repro.linalg.blocked import blocked_lu_factor, blocked_solve
 from repro.linalg.refinement import RefinementResult, refine_solve
 from repro.linalg.batched import (
     BatchedLU,
@@ -36,8 +35,6 @@ __all__ = [
     "BatchedLU",
     "LUFactorization",
     "RefinementResult",
-    "blocked_lu_factor",
-    "blocked_solve",
     "refine_solve",
     "batched_flops",
     "batched_lu_factor",

@@ -1,6 +1,25 @@
-"""Stdlib-only HTTP front end for the analysis service.
+"""Stdlib-only HTTP front ends: one server class, one handler base.
 
-Endpoints:
+Both ``repro serve`` (:class:`AnalysisHTTPServer`, backed by an
+:class:`~repro.serve.service.AnalysisService`) and ``repro cluster
+route`` (:class:`repro.cluster.http.ClusterHTTPServer`, backed by a
+:class:`~repro.cluster.router.ClusterRouter`) are built from the
+:class:`ReproHTTPServer` and :class:`ReproHandler` defined here.  The
+shared handler owns everything that is the same on both front ends:
+
+* ``GET /metrics`` — the backend's metrics document (JSON);
+  ``?format=prometheus`` or the ``/metrics/prometheus`` alias return
+  text exposition format instead.
+* ``GET /debug/autotune`` — the autotuner's latest calibration, sweep,
+  and decision journal (404 unless ``--autotune`` is on;
+  ``?format=ascii`` for the rendered table where the tuner has one).
+  See ``docs/autotune.md``.
+* ``GET /jobs``, ``GET /jobs/<id>``, ``GET /jobs/<id>/events?since=N``,
+  ``POST /jobs``, ``POST /jobs/<id>/cancel`` — parsed here; each front
+  end supplies only the five backend calls.
+* the 404 for unknown paths, body parsing, and the error → status map.
+
+This module's front end adds:
 
 * ``POST /analyze`` — one wire-format request; the response body is the
   :func:`repro.core.api.canonical_json` record, byte-identical to the
@@ -9,27 +28,22 @@ Endpoints:
   ``{"request_id", "results": [...]}`` with a record or
   ``{"error", "type"}`` object per item, preserving order.
 * ``GET /healthz`` — liveness plus queue depth.
-* ``GET /metrics`` — the service's counter snapshot (JSON), including
-  the live W/A/L/O ``stages`` section; ``?format=prometheus`` or the
-  ``/metrics/prometheus`` alias return text exposition format instead.
 * ``GET /debug/trace?n=K`` — ASCII Gantt of the last ``K`` completed
   request traces (``?format=json`` for span trees).
 * ``GET /debug/trace/<trace_id>`` — one retained span tree by id (the
   lookup the cluster router stitches distributed traces from).
-* ``GET /debug/autotune`` — the autotuner's latest calibration, sweep
-  table, and decision journal (404 unless ``--autotune`` is on;
-  ``?format=ascii`` for the rendered table).  See ``docs/autotune.md``.
 
 Every request gets a request ID — accepted via ``X-Repro-Request-Id``
-or generated — which is echoed in the ``X-Repro-Request-Id`` response
-header, in error bodies, and in the ``/analyze_batch`` wrapper.  The
-*successful* ``/analyze`` body never carries it: that body is the
-canonical analysis record, and staying byte-identical to the CLI's
-``--json`` output (and to the untraced path) is a contract.  An
-``X-Repro-Trace`` header (see :mod:`repro.obs.context`) propagates a
-distributed trace: its head-based sampling decision overrides the
-local sampler and the span tree is recorded under the propagated
-trace id — never changing a single response byte.
+or generated — resolved once per request and echoed in the
+``X-Repro-Request-Id`` header of every response, in error bodies, and
+in the ``/analyze_batch`` wrapper.  An invalid ID is answered 400 and
+never echoed.  The *successful* ``/analyze`` body never carries it:
+that body is the canonical analysis record, and staying byte-identical
+to the CLI's ``--json`` output (and to the untraced path) is a
+contract.  An ``X-Repro-Trace`` header (see :mod:`repro.obs.context`)
+propagates a distributed trace: its head-based sampling decision
+overrides the local sampler and the span tree is recorded under the
+propagated trace id — never changing a single response byte.
 
 Requests may carry a deadline: an ``X-Repro-Deadline-Ms`` header, or a
 ``deadline_ms`` field in the body (most specific wins — the body field
@@ -37,14 +51,16 @@ overrides the header, which overrides the service default).  A request
 whose deadline expires before evaluation is dropped at batch
 collection and answered ``504 Gateway Timeout``.
 
-Error mapping: malformed input → 400, shed load → 503, expired
-deadline → 504, unexpected failure → 500.  The server is a
-``ThreadingHTTPServer``; every handler thread just blocks on the
-service's :class:`PendingResult`, so the micro-batcher sees all
-concurrent requests at once.  The default per-line stderr access log
-stays disabled — the service's structured logger emits one JSON line
-per request outcome instead (see :mod:`repro.obs.logging`), which is
-what a serving process under load can actually afford.
+Error mapping (:meth:`ReproHandler._send_error`, in order): an error's
+own ``status`` attribute (proxied replica rejections keep their
+upstream code), unknown job → 404, expired deadline → 504, shed load
+or a crashed worker shard → 503, any other library error → 400,
+anything else → 500.  The server is a ``ThreadingHTTPServer``; every
+handler thread just blocks on its backend, so the micro-batcher sees
+all concurrent requests at once.  The default per-line stderr access
+log stays disabled — the service's structured logger emits one JSON
+line per request outcome instead (see :mod:`repro.obs.logging`), which
+is what a serving process under load can actually afford.
 """
 
 from __future__ import annotations
@@ -54,11 +70,13 @@ import threading
 import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.api import canonical_json, extract_deadline_ms, validate_deadline_ms
 from repro.errors import (
     DeadlineExceededError,
+    ExecutionBackendError,
+    JobError,
     JobNotFoundError,
     OverloadedError,
     ReproError,
@@ -79,19 +97,20 @@ MAX_BODY_BYTES = 1 << 20
 DEFAULT_TRACE_COUNT = 16
 
 
-class AnalysisHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`AnalysisService`."""
+class ReproHTTPServer(ThreadingHTTPServer):
+    """A threading HTTP server run from one background acceptor thread."""
 
     daemon_threads = True
     allow_reuse_address = True
     # The socketserver default backlog of 5 resets connections under a
     # concurrent burst — exactly the workload a micro-batcher exists for.
     request_queue_size = 128
+    #: Name of the acceptor thread :meth:`start_background` starts.
+    thread_name = "repro-http"
 
-    def __init__(self, address: Tuple[str, int], service: AnalysisService, *,
-                 request_timeout: float = 60.0) -> None:
-        super().__init__(address, _AnalysisHandler)
-        self.service = service
+    def __init__(self, address: Tuple[str, int], handler, *,
+                 request_timeout: float) -> None:
+        super().__init__(address, handler)
         self.request_timeout = request_timeout
         self._thread: Optional[threading.Thread] = None
 
@@ -100,12 +119,12 @@ class AnalysisHTTPServer(ThreadingHTTPServer):
         """The bound port (useful with an ephemeral ``port=0`` bind)."""
         return self.server_address[1]
 
-    def start_background(self) -> "AnalysisHTTPServer":
+    def start_background(self):
         """Serve from a daemon thread; returns self for chaining."""
         if self._thread is not None:
             raise ServeError("server is already running")
         self._thread = threading.Thread(
-            target=self.serve_forever, name="repro-serve-http", daemon=True
+            target=self.serve_forever, name=self.thread_name, daemon=True
         )
         self._thread.start()
         return self
@@ -135,6 +154,18 @@ class AnalysisHTTPServer(ThreadingHTTPServer):
         self._thread = None
 
 
+class AnalysisHTTPServer(ReproHTTPServer):
+    """A threading HTTP server bound to one :class:`AnalysisService`."""
+
+    thread_name = "repro-serve-http"
+
+    def __init__(self, address: Tuple[str, int], service: AnalysisService, *,
+                 request_timeout: float = 60.0) -> None:
+        super().__init__(address, _AnalysisHandler,
+                         request_timeout=request_timeout)
+        self.service = service
+
+
 def start_server(service: AnalysisService, *, host: str = "127.0.0.1",
                  port: int = 0, request_timeout: float = 60.0) -> AnalysisHTTPServer:
     """Bind and start a background server; ``port=0`` picks a free port."""
@@ -143,10 +174,40 @@ def start_server(service: AnalysisService, *, host: str = "127.0.0.1",
     return server.start_background()
 
 
-class _AnalysisHandler(BaseHTTPRequestHandler):
-    server_version = "repro-serve/1.0"
+def _status_for(error: BaseException) -> int:
+    """The HTTP status an error answers with (see the module docstring)."""
+    status = getattr(error, "status", None)
+    if isinstance(status, int):
+        return status
+    if isinstance(error, JobNotFoundError):
+        return 404
+    if isinstance(error, DeadlineExceededError):
+        return 504
+    if isinstance(error, (OverloadedError, ExecutionBackendError)):
+        return 503
+    if isinstance(error, ReproError):
+        return 400
+    return 500
+
+
+class ReproHandler(BaseHTTPRequestHandler):
+    """The handler base both front ends share.
+
+    A subclass supplies its own routes (:meth:`_route_get`,
+    :meth:`_route_post`) and its backend: ``_metrics_document()``,
+    ``_autotuner()``, and the five jobs calls ``_jobs_list()``,
+    ``_job_get(id)``, ``_job_events(id, since)``,
+    ``_job_submit(payload)``, and ``_job_cancel(id)``, each returning
+    the JSON document to send.  Everything else — request-ID
+    resolution, body plumbing, the shared routes, and the error →
+    status map — lives here once.
+    """
+
     protocol_version = "HTTP/1.1"
     timeout = 120.0  # socket inactivity guard for keep-alive connections
+
+    #: The current request's ID (``None`` only while rejecting a bad one).
+    request_id: Optional[str] = None
 
     # The default handler writes a per-request access line to stderr; a
     # serving process under load must not pay for that.  Request-level
@@ -156,95 +217,73 @@ class _AnalysisHandler(BaseHTTPRequestHandler):
         pass
 
     # ------------------------------------------------------------------
-    # Routes
+    # Dispatch
     # ------------------------------------------------------------------
 
     def do_GET(self) -> None:
+        if not self._resolve_request_id():
+            return
         parts = urllib.parse.urlsplit(self.path)
         query = urllib.parse.parse_qs(parts.query)
         route = parts.path
-        if route == "/healthz":
-            self._send_json(200, {
-                "status": "ok",
-                "queue_depth": self.server.service.queue_depth,
-            })
-        elif route == "/metrics":
-            self._handle_metrics(query)
+        if route == "/metrics":
+            self._handle_metrics(query.get("format", ["json"])[-1])
         elif route == "/metrics/prometheus":
-            self._handle_metrics({"format": ["prometheus"]})
-        elif route == "/debug/trace":
-            self._handle_debug_trace(query)
-        elif route.startswith("/debug/trace/"):
-            self._handle_debug_trace_lookup(route)
+            self._handle_metrics("prometheus")
         elif route == "/debug/autotune":
             self._handle_debug_autotune(query)
         elif route == "/jobs" or route.startswith("/jobs/"):
             self._handle_jobs_get(route, query)
         else:
-            self._send_json(404, {"error": f"unknown path {self.path}",
-                                  "type": "NotFound"})
+            self._route_get(route, query)
 
     def do_POST(self) -> None:
+        if not self._resolve_request_id():
+            return
         route = urllib.parse.urlsplit(self.path).path
-        if route == "/analyze":
-            self._handle_analyze()
-        elif route == "/analyze_batch":
-            self._handle_analyze_batch()
-        elif route == "/jobs":
+        if route == "/jobs":
             self._handle_jobs_submit()
         elif route.startswith("/jobs/") and route.endswith("/cancel"):
             self._handle_job_cancel(route)
         else:
-            self._send_json(404, {"error": f"unknown path {self.path}",
-                                  "type": "NotFound"})
+            self._route_post(route)
 
-    def _handle_metrics(self, query: dict) -> None:
-        snapshot = self.server.service.metrics_snapshot()
-        fmt = query.get("format", ["json"])[-1]
+    def _resolve_request_id(self) -> bool:
+        """Set :attr:`request_id` for this request; False after a 400."""
+        self.request_id = None
+        try:
+            self.request_id = coerce_request_id(self.headers.get(REQUEST_ID_HEADER))
+        except ServeError as error:
+            self._drain_body()
+            self._send_error(error)
+            return False
+        return True
+
+    def _route_get(self, route: str, query: dict) -> None:
+        """Answer a front-end-specific ``GET`` route, or 404."""
+        self._send_not_found()
+
+    def _route_post(self, route: str) -> None:
+        """Answer a front-end-specific ``POST`` route, or 404."""
+        self._send_not_found()
+
+    # ------------------------------------------------------------------
+    # Shared routes
+    # ------------------------------------------------------------------
+
+    def _handle_metrics(self, fmt: str) -> None:
+        document = self._metrics_document()
         if fmt == "prometheus":
-            body = render_prometheus(snapshot).encode("utf-8")
-            self._send_body(200, body,
+            self._send_body(200, render_prometheus(document).encode("utf-8"),
                             content_type="text/plain; version=0.0.4; charset=utf-8")
         elif fmt == "json":
-            self._send_json(200, snapshot)
+            self._send_json(200, document)
         else:
-            self._send_json(400, {
-                "error": f"unknown metrics format {fmt!r} "
-                         "(expected 'json' or 'prometheus')",
-                "type": "ServeError",
-            })
-
-    def _handle_debug_trace(self, query: dict) -> None:
-        service = self.server.service
-        try:
-            count = int(query.get("n", [DEFAULT_TRACE_COUNT])[-1])
-        except ValueError:
-            self._send_json(400, {"error": "n must be an integer",
-                                  "type": "ServeError"})
-            return
-        count = max(0, count)
-        fmt = query.get("format", ["ascii"])[-1]
-        if fmt == "json":
-            traces = [trace.to_dict() for trace in service.recent_traces(count)]
-            self._send_json(200, {"traces": traces})
-        elif fmt == "ascii":
-            body = service.render_trace(count).encode("utf-8")
-            self._send_body(200, body,
-                            content_type="text/plain; charset=utf-8")
-        else:
-            self._send_json(400, {
-                "error": f"unknown trace format {fmt!r} "
-                         "(expected 'ascii' or 'json')",
-                "type": "ServeError",
-            })
+            self._send_unknown_format("metrics", fmt, "json", "prometheus")
 
     def _handle_debug_autotune(self, query: dict) -> None:
-        """``GET /debug/autotune`` — latest sweep, calibration, journal.
-
-        404s when the service was started without ``--autotune``; JSON
-        by default, ``?format=ascii`` renders the sweep table.
-        """
-        autotuner = self.server.service.autotuner
+        """``GET /debug/autotune`` — 404 when started without ``--autotune``."""
+        autotuner = self._autotuner()
         if autotuner is None:
             self._send_json(404, {"error": "autotuning is not enabled "
                                            "(start with --autotune)",
@@ -253,145 +292,59 @@ class _AnalysisHandler(BaseHTTPRequestHandler):
         fmt = query.get("format", ["json"])[-1]
         if fmt == "json":
             self._send_json(200, autotuner.debug_document())
-        elif fmt == "ascii":
-            self._send_body(200, autotuner.render_table().encode("utf-8"),
-                            content_type="text/plain; charset=utf-8")
+        elif fmt == "ascii" and hasattr(autotuner, "render_table"):
+            self._send_text(autotuner.render_table())
         else:
-            self._send_json(400, {
-                "error": f"unknown autotune format {fmt!r} "
-                         "(expected 'json' or 'ascii')",
-                "type": "ServeError",
-            })
-
-    def _handle_debug_trace_lookup(self, route: str) -> None:
-        """``GET /debug/trace/<trace_id>`` — one retained span tree.
-
-        The cluster router pulls a replica's half of a distributed
-        trace through this route and stitches it into the cluster-wide
-        tree; ``monotonic_now`` lets the puller re-anchor the trace's
-        monotonic timestamps against its own clock.
-        """
-        trace_id = route[len("/debug/trace/"):]
-        trace = self.server.service.find_trace(trace_id)
-        if trace is None:
-            self._send_json(404, {
-                "error": f"no retained trace with id {trace_id!r}",
-                "type": "TraceNotFound",
-            })
-            return
-        self._send_json(200, {"trace": trace.to_dict(),
-                              "monotonic_now": time.monotonic()})
-
-    # ------------------------------------------------------------------
-    # Jobs routes
-    # ------------------------------------------------------------------
-
-    def _jobs_runner(self, request_id: Optional[str] = None):
-        """The service's job runner, or ``None`` after sending a 404."""
-        runner = self.server.service.jobs
-        if runner is None:
-            self._send_json(404, {
-                "error": "jobs are not enabled "
-                         "(start the server with --jobs-dir)",
-                "type": "JobError",
-            }, request_id=request_id)
-        return runner
-
-    def _send_job_error(self, error: BaseException,
-                        request_id: Optional[str]) -> None:
-        if isinstance(error, JobNotFoundError):
-            status = 404
-        elif isinstance(error, ReproError):
-            status = 400
-        else:  # pragma: no cover - defensive
-            status = 500
-        self._send_json(status, _error_body(error, request_id),
-                        request_id=request_id)
+            self._send_unknown_format("autotune", fmt, "json", "ascii")
 
     def _handle_jobs_get(self, route: str, query: dict) -> None:
-        from repro.jobs import json_safe
-
-        request_id = self._header_request_id()
-        runner = self._jobs_runner(request_id)
-        if runner is None:
-            return
         parts = [part for part in route.split("/") if part]
         try:
             if parts == ["jobs"]:
-                jobs = [json_safe(record.to_dict(include_result=False))
-                        for record in runner.store.list()]
-                self._send_json(200, {"jobs": jobs}, request_id=request_id)
+                document = {"jobs": self._jobs_list()}
             elif len(parts) == 2:
-                record = runner.store.get(parts[1])
-                self._send_json(200, json_safe(record.to_dict()),
-                                request_id=request_id)
+                document = self._job_get(parts[1])
             elif len(parts) == 3 and parts[2] == "events":
                 try:
                     since = int(query.get("since", [0])[-1])
                 except ValueError:
                     raise ServeError("since must be an integer")
-                record = runner.store.get(parts[1])
-                events = runner.store.events(parts[1], since=since)
-                self._send_json(200, {
-                    "id": record.id,
-                    "state": record.state,
-                    "generations_done": record.generations_done,
-                    "events": json_safe(events),
-                    "next_since": events[-1]["seq"] if events else since,
-                }, request_id=request_id)
+                document = self._job_events(parts[1], since)
             else:
-                self._send_json(404, {"error": f"unknown path {self.path}",
-                                      "type": "NotFound"},
-                                request_id=request_id)
-        except ReproError as error:
-            self._send_job_error(error, request_id)
+                self._send_not_found()
+                return
+        except Exception as error:
+            self._send_error(error)
+            return
+        self._send_json(200, document)
 
     def _handle_jobs_submit(self) -> None:
-        from repro.jobs import JobSpec, json_safe
-
         payload = self._read_json()
         if payload is None:
             return
-        request_id = self._header_request_id()
-        runner = self._jobs_runner(request_id)
-        if runner is None:
-            return
-        # job_key is transport metadata (the idempotency identity of
-        # this submission), not part of the spec — peel it off before
-        # spec validation, like deadline_ms on the analyze path.
-        job_key = None
-        if isinstance(payload, dict) and "job_key" in payload:
-            payload = dict(payload)
-            job_key = payload.pop("job_key")
         try:
-            record = runner.submit(JobSpec.from_dict(payload),
-                                   job_key=job_key)
-        except ReproError as error:
-            self._send_job_error(error, request_id)
+            record = self._job_submit(payload)
+        except Exception as error:
+            self._send_error(error)
             return
-        self._send_json(200, json_safe(record.to_dict()),
-                        request_id=request_id)
+        self._send_json(200, record)
 
     def _handle_job_cancel(self, route: str) -> None:
-        from repro.jobs import json_safe
-
         self._drain_body()
-        request_id = self._header_request_id()
-        runner = self._jobs_runner(request_id)
-        if runner is None:
-            return
         parts = [part for part in route.split("/") if part]
         if len(parts) != 3:
-            self._send_json(404, {"error": f"unknown path {self.path}",
-                                  "type": "NotFound"}, request_id=request_id)
+            self._send_not_found()
             return
         try:
-            record = runner.cancel(parts[1])
-        except ReproError as error:
-            self._send_job_error(error, request_id)
+            record = self._job_cancel(parts[1])
+        except Exception as error:
+            self._send_error(error)
             return
-        self._send_json(200, json_safe(record.to_dict(include_result=False)),
-                        request_id=request_id)
+        self._send_json(200, record)
+
+    # ------------------------------------------------------------------
+    # Headers
+    # ------------------------------------------------------------------
 
     def _header_deadline_ms(self) -> Optional[float]:
         """The validated ``X-Repro-Deadline-Ms`` header, if present."""
@@ -400,104 +353,9 @@ class _AnalysisHandler(BaseHTTPRequestHandler):
             return None
         return validate_deadline_ms(raw)
 
-    def _header_request_id(self) -> str:
-        """The validated ``X-Repro-Request-Id`` header, or a fresh ID."""
-        return coerce_request_id(self.headers.get(REQUEST_ID_HEADER))
-
     def _header_trace_context(self):
         """The validated ``X-Repro-Trace`` header, or ``None``."""
         return maybe_parse_trace_header(self.headers.get(TRACE_HEADER))
-
-    def _handle_analyze(self) -> None:
-        payload = self._read_json()
-        if payload is None:
-            return
-        service = self.server.service
-        request_id = None
-        try:
-            request_id = self._header_request_id()
-            trace_context = self._header_trace_context()
-            payload, deadline_ms = extract_deadline_ms(payload)
-            if deadline_ms is None:
-                deadline_ms = self._header_deadline_ms()
-            result = service.analyze(payload, timeout=self.server.request_timeout,
-                                     deadline_ms=deadline_ms,
-                                     request_id=request_id,
-                                     trace_context=trace_context)
-        except DeadlineExceededError as error:
-            self._send_json(504, _error_body(error, request_id),
-                            request_id=request_id)
-            return
-        except OverloadedError as error:
-            self._send_json(503, _error_body(error, request_id),
-                            request_id=request_id)
-            return
-        except ReproError as error:
-            self._send_json(400, _error_body(error, request_id),
-                            request_id=request_id)
-            return
-        except Exception as error:  # pragma: no cover - defensive
-            self._send_json(500, _error_body(error, request_id),
-                            request_id=request_id)
-            return
-        self._send_body(200, canonical_json(result).encode("utf-8"),
-                        request_id=request_id)
-
-    def _handle_analyze_batch(self) -> None:
-        payload = self._read_json()
-        if payload is None:
-            return
-        if not isinstance(payload, dict) or not isinstance(payload.get("requests"), list):
-            self._send_json(400, {
-                "error": "analyze_batch expects {\"requests\": [...]}",
-                "type": "ServeError",
-            })
-            return
-        service = self.server.service
-        try:
-            request_id = self._header_request_id()
-            trace_context = self._header_trace_context()
-            header_deadline = self._header_deadline_ms()
-        except ServeError as error:
-            self._send_json(400, _error_body(error))
-            return
-        # Submit everything before waiting on anything, so the whole
-        # HTTP batch can coalesce into as few solve stacks as possible.
-        # A per-item deadline_ms field overrides the header deadline;
-        # the batch's single request ID tags every item.
-        pendings = []
-        for item in payload["requests"]:
-            try:
-                pendings.append(
-                    self._submit_item(service, item, header_deadline,
-                                      request_id, trace_context))
-            except ReproError as error:
-                pendings.append(error)
-        results = []
-        for pending in pendings:
-            if isinstance(pending, Exception):
-                results.append(_error_body(pending))
-                continue
-            try:
-                results.append(pending.result(timeout=self.server.request_timeout))
-            except ReproError as error:
-                pending.cancel()  # detach so the worker drops the job
-                results.append(_error_body(error))
-        self._send_json(200, {"request_id": request_id, "results": results},
-                        request_id=request_id)
-
-    @staticmethod
-    def _submit_item(service, item, header_deadline: Optional[float],
-                     request_id: str, trace_context=None):
-        """Submit one batch item; a per-item ``deadline_ms`` field
-        overrides the header deadline."""
-        if header_deadline is not None and isinstance(item, dict):
-            item, item_deadline = extract_deadline_ms(item)
-            if item_deadline is not None:
-                header_deadline = item_deadline
-        return service.submit(item, deadline_ms=header_deadline,
-                              request_id=request_id,
-                              trace_context=trace_context)
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -514,37 +372,254 @@ class _AnalysisHandler(BaseHTTPRequestHandler):
             self.rfile.read(length)
 
     def _read_json(self):
+        """The decoded JSON body, or ``None`` after answering 400."""
         try:
             length = int(self.headers.get("Content-Length", 0))
         except (TypeError, ValueError):
             length = -1
         if length < 0 or length > MAX_BODY_BYTES:
-            self._send_json(400, {"error": "missing or oversized request body",
-                                  "type": "ServeError"})
+            self._send_error(ServeError("missing or oversized request body"))
             return None
         body = self.rfile.read(length)
         try:
             return json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            self._send_json(400, {"error": f"invalid JSON body: {error}",
-                                  "type": "ServeError"})
+            self._send_error(ServeError(f"invalid JSON body: {error}"))
             return None
 
-    def _send_json(self, status: int, payload: dict, *,
-                   request_id: Optional[str] = None) -> None:
-        self._send_body(status, canonical_json(payload).encode("utf-8"),
-                        request_id=request_id)
+    def _read_batch(self) -> Optional[list]:
+        """The ``requests`` list of an ``/analyze_batch`` body, or
+        ``None`` after answering 400."""
+        payload = self._read_json()
+        if payload is None:
+            return None
+        if not isinstance(payload, dict) or not isinstance(payload.get("requests"), list):
+            self._send_error(ServeError(
+                "analyze_batch expects {\"requests\": [...]}"))
+            return None
+        return payload["requests"]
+
+    def _send_error(self, error: BaseException) -> None:
+        self._send_json(_status_for(error), _error_body(error, self.request_id))
+
+    def _send_not_found(self) -> None:
+        self._send_json(404, {"error": f"unknown path {self.path}",
+                              "type": "NotFound"})
+
+    def _send_unknown_format(self, kind: str, fmt: str, *expected: str) -> None:
+        choices = " or ".join(repr(name) for name in expected)
+        self._send_error(ServeError(
+            f"unknown {kind} format {fmt!r} (expected {choices})"))
+
+    def _send_text(self, text: str) -> None:
+        self._send_body(200, text.encode("utf-8"),
+                        content_type="text/plain; charset=utf-8")
+
+    def _send_json(self, status: int, payload: dict) -> None:
+        self._send_body(status, canonical_json(payload).encode("utf-8"))
 
     def _send_body(self, status: int, body: bytes, *,
-                   content_type: str = "application/json",
-                   request_id: Optional[str] = None) -> None:
+                   content_type: str = "application/json") -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        if request_id is not None:
-            self.send_header(REQUEST_ID_HEADER, request_id)
+        if self.request_id is not None:
+            self.send_header(REQUEST_ID_HEADER, self.request_id)
         self.end_headers()
         self.wfile.write(body)
+
+
+class _AnalysisHandler(ReproHandler):
+    server_version = "repro-serve/1.0"
+
+    def _route_get(self, route: str, query: dict) -> None:
+        service = self.server.service
+        if route == "/healthz":
+            self._send_json(200, {"status": "ok",
+                                  "queue_depth": service.queue_depth})
+        elif route == "/debug/trace":
+            self._handle_debug_trace(query)
+        elif route.startswith("/debug/trace/"):
+            self._handle_debug_trace_lookup(route[len("/debug/trace/"):])
+        else:
+            self._send_not_found()
+
+    def _route_post(self, route: str) -> None:
+        if route == "/analyze":
+            self._handle_analyze()
+        elif route == "/analyze_batch":
+            self._handle_analyze_batch()
+        else:
+            self._send_not_found()
+
+    def _metrics_document(self) -> dict:
+        return self.server.service.metrics_snapshot()
+
+    def _autotuner(self):
+        return self.server.service.autotuner
+
+    def _handle_debug_trace(self, query: dict) -> None:
+        service = self.server.service
+        try:
+            count = int(query.get("n", [DEFAULT_TRACE_COUNT])[-1])
+        except ValueError:
+            self._send_error(ServeError("n must be an integer"))
+            return
+        count = max(0, count)
+        fmt = query.get("format", ["ascii"])[-1]
+        if fmt == "json":
+            traces = [trace.to_dict() for trace in service.recent_traces(count)]
+            self._send_json(200, {"traces": traces})
+        elif fmt == "ascii":
+            self._send_text(service.render_trace(count))
+        else:
+            self._send_unknown_format("trace", fmt, "ascii", "json")
+
+    def _handle_debug_trace_lookup(self, trace_id: str) -> None:
+        """``GET /debug/trace/<trace_id>`` — one retained span tree.
+
+        The cluster router pulls a replica's half of a distributed
+        trace through this route and stitches it into the cluster-wide
+        tree; ``monotonic_now`` lets the puller re-anchor the trace's
+        monotonic timestamps against its own clock.
+        """
+        trace = self.server.service.find_trace(trace_id)
+        if trace is None:
+            self._send_json(404, {
+                "error": f"no retained trace with id {trace_id!r}",
+                "type": "TraceNotFound",
+            })
+            return
+        self._send_json(200, {"trace": trace.to_dict(),
+                              "monotonic_now": time.monotonic()})
+
+    # ------------------------------------------------------------------
+    # Jobs backend
+    # ------------------------------------------------------------------
+
+    def _jobs_runner(self):
+        runner = self.server.service.jobs
+        if runner is None:
+            error = JobError("jobs are not enabled "
+                             "(start the server with --jobs-dir)")
+            error.status = 404
+            raise error
+        return runner
+
+    def _jobs_list(self) -> List[dict]:
+        from repro.jobs import json_safe
+
+        return [json_safe(record.to_dict(include_result=False))
+                for record in self._jobs_runner().store.list()]
+
+    def _job_get(self, job_id: str) -> dict:
+        from repro.jobs import json_safe
+
+        return json_safe(self._jobs_runner().store.get(job_id).to_dict())
+
+    def _job_events(self, job_id: str, since: int) -> dict:
+        from repro.jobs import json_safe
+
+        store = self._jobs_runner().store
+        record = store.get(job_id)
+        events = store.events(job_id, since=since)
+        return {
+            "id": record.id,
+            "state": record.state,
+            "generations_done": record.generations_done,
+            "events": json_safe(events),
+            "next_since": events[-1]["seq"] if events else since,
+        }
+
+    def _job_submit(self, payload) -> dict:
+        from repro.jobs import JobSpec, json_safe
+
+        runner = self._jobs_runner()
+        # job_key is transport metadata (the idempotency identity of
+        # this submission), not part of the spec — peel it off before
+        # spec validation, like deadline_ms on the analyze path.
+        job_key = None
+        if isinstance(payload, dict) and "job_key" in payload:
+            payload = dict(payload)
+            job_key = payload.pop("job_key")
+        record = runner.submit(JobSpec.from_dict(payload), job_key=job_key)
+        return json_safe(record.to_dict())
+
+    def _job_cancel(self, job_id: str) -> dict:
+        from repro.jobs import json_safe
+
+        record = self._jobs_runner().cancel(job_id)
+        return json_safe(record.to_dict(include_result=False))
+
+    # ------------------------------------------------------------------
+    # Analyze
+    # ------------------------------------------------------------------
+
+    def _handle_analyze(self) -> None:
+        payload = self._read_json()
+        if payload is None:
+            return
+        try:
+            trace_context = self._header_trace_context()
+            payload, deadline_ms = extract_deadline_ms(payload)
+            if deadline_ms is None:
+                deadline_ms = self._header_deadline_ms()
+            result = self.server.service.analyze(
+                payload, timeout=self.server.request_timeout,
+                deadline_ms=deadline_ms, request_id=self.request_id,
+                trace_context=trace_context)
+        except Exception as error:
+            self._send_error(error)
+            return
+        self._send_body(200, canonical_json(result).encode("utf-8"))
+
+    def _handle_analyze_batch(self) -> None:
+        items = self._read_batch()
+        if items is None:
+            return
+        try:
+            trace_context = self._header_trace_context()
+            header_deadline = self._header_deadline_ms()
+        except ServeError as error:
+            self._send_error(error)
+            return
+        # Submit everything before waiting on anything, so the whole
+        # HTTP batch can coalesce into as few solve stacks as possible.
+        # A per-item deadline_ms field overrides the header deadline;
+        # the batch's single request ID tags every item.
+        service = self.server.service
+        pendings = []
+        for item in items:
+            try:
+                pendings.append(
+                    self._submit_item(service, item, header_deadline,
+                                      self.request_id, trace_context))
+            except ReproError as error:
+                pendings.append(error)
+        results = []
+        for pending in pendings:
+            if isinstance(pending, Exception):
+                results.append(_error_body(pending))
+                continue
+            try:
+                results.append(pending.result(timeout=self.server.request_timeout))
+            except ReproError as error:
+                pending.cancel()  # detach so the worker drops the job
+                results.append(_error_body(error))
+        self._send_json(200, {"request_id": self.request_id, "results": results})
+
+    @staticmethod
+    def _submit_item(service, item, header_deadline: Optional[float],
+                     request_id: str, trace_context=None):
+        """Submit one batch item; a per-item ``deadline_ms`` field
+        overrides the header deadline."""
+        if header_deadline is not None and isinstance(item, dict):
+            item, item_deadline = extract_deadline_ms(item)
+            if item_deadline is not None:
+                header_deadline = item_deadline
+        return service.submit(item, deadline_ms=header_deadline,
+                              request_id=request_id,
+                              trace_context=trace_context)
 
 
 def _error_body(error: BaseException,

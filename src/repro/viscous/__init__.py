@@ -36,7 +36,6 @@ from repro.viscous.edge_velocity import (
 )
 from repro.viscous.head import TurbulentResult, solve_head
 from repro.viscous.polar import Polar, PolarPoint, compute_polar
-from repro.viscous.polar_io import polar_to_string, read_polar, write_polar
 from repro.viscous.thwaites import LaminarResult, solve_thwaites
 
 __all__ = [
@@ -61,8 +60,6 @@ __all__ = [
     "head_h_from_h1",
     "ludwieg_tillmann_cf",
     "michel_transition_re_theta",
-    "polar_to_string",
-    "read_polar",
     "solve_head",
     "solve_thwaites",
     "squire_young_drag",
@@ -70,5 +67,4 @@ __all__ = [
     "surface_distributions",
     "thwaites_h",
     "thwaites_l",
-    "write_polar",
 ]

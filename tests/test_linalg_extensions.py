@@ -1,4 +1,4 @@
-"""Tests for blocked LU and mixed-precision iterative refinement."""
+"""Tests for mixed-precision iterative refinement."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,6 @@ import pytest
 from repro.errors import LinalgError
 from repro.geometry import naca
 from repro.linalg import (
-    blocked_lu_factor,
-    blocked_solve,
-    lu_factor,
     refine_solve,
     relative_residual,
     solve,
@@ -20,48 +17,6 @@ def panel_system(n=120, alpha=4.0):
     system = assemble(naca("2412", n), Freestream.from_degrees(alpha))
     return (np.asarray(system.matrix, np.float64),
             np.asarray(system.rhs, np.float64))
-
-
-class TestBlockedLU:
-    @pytest.mark.parametrize("n,block", [(10, 4), (33, 8), (64, 32), (50, 64)])
-    def test_identical_to_unblocked(self, rng, n, block):
-        a = rng.standard_normal((n, n)) + n * np.eye(n)
-        blocked = blocked_lu_factor(a, block_size=block)
-        unblocked = lu_factor(a)
-        assert blocked.lu == pytest.approx(unblocked.lu, abs=1e-12)
-        assert np.array_equal(blocked.pivots, unblocked.pivots)
-        assert blocked.n_swaps == unblocked.n_swaps
-
-    def test_block_size_one(self, rng):
-        a = rng.standard_normal((12, 12)) + 12 * np.eye(12)
-        assert blocked_lu_factor(a, block_size=1).lu == pytest.approx(
-            lu_factor(a).lu
-        )
-
-    def test_requires_pivoting(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        x = blocked_solve(a, np.array([2.0, 3.0]))
-        assert x == pytest.approx([3.0, 2.0])
-
-    def test_singular_detected(self):
-        with pytest.raises(LinalgError, match="singular"):
-            blocked_lu_factor(np.zeros((4, 4)))
-
-    def test_invalid_block_size(self, rng):
-        with pytest.raises(LinalgError):
-            blocked_lu_factor(np.eye(4), block_size=0)
-
-    def test_panel_matrix(self):
-        matrix, rhs = panel_system()
-        x = blocked_solve(matrix, rhs)
-        assert relative_residual(matrix, x, rhs) < 1e-14
-
-    def test_solution_matches_numpy(self, rng):
-        a = rng.standard_normal((77, 77)) + 77 * np.eye(77)
-        b = rng.standard_normal(77)
-        assert blocked_solve(a, b) == pytest.approx(
-            np.linalg.solve(a, b), abs=1e-9
-        )
 
 
 class TestIterativeRefinement:

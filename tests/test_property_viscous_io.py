@@ -1,6 +1,4 @@
-"""Property-based tests: viscous invariants and polar I/O round trips."""
-
-import io
+"""Property-based tests: viscous invariants."""
 
 import numpy as np
 import pytest
@@ -9,14 +7,11 @@ from hypothesis import strategies as st
 
 from repro.viscous import (
     ludwieg_tillmann_cf,
-    polar_to_string,
-    read_polar,
     solve_thwaites,
     thwaites_h,
     thwaites_l,
 )
 from repro.viscous.edge_velocity import SurfaceDistribution
-from repro.viscous.polar import Polar, PolarPoint
 
 
 def edge_distributions():
@@ -70,39 +65,3 @@ class TestViscousProperties:
         assert np.isfinite(thwaites_l(lam))
         assert float(thwaites_h(lam)) > 1.9
 
-
-def polar_points():
-    return st.builds(
-        PolarPoint,
-        alpha_degrees=st.floats(-15.0, 20.0),
-        cl=st.floats(-1.5, 2.5),
-        cd=st.one_of(st.none(), st.floats(1e-4, 0.5)),
-        cm=st.floats(-0.3, 0.1),
-        separated=st.booleans(),
-    )
-
-
-class TestPolarIOProperties:
-    @given(
-        points=st.lists(polar_points(), min_size=1, max_size=12),
-        reynolds=st.floats(1e4, 5e7),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip(self, points, reynolds):
-        # The file format cannot distinguish separated-with-cd rows;
-        # normalize the flag the way the writer does.
-        polar = Polar(airfoil_name="prop foil", reynolds=reynolds,
-                      points=points)
-        back = read_polar(io.StringIO(polar_to_string(polar)))
-        assert back.airfoil_name == "prop foil"
-        assert back.reynolds == pytest.approx(reynolds, abs=0.51, rel=1e-6)
-        assert len(back.points) == len(points)
-        for original, parsed in zip(points, back.points):
-            assert parsed.alpha_degrees == pytest.approx(
-                original.alpha_degrees, abs=1.5e-3
-            )
-            assert parsed.cl == pytest.approx(original.cl, abs=1e-4)
-            if original.cd is None:
-                assert parsed.cd is None
-            else:
-                assert parsed.cd == pytest.approx(original.cd, abs=1e-5)

@@ -7,10 +7,13 @@ import urllib.request
 
 import pytest
 
+from repro.cluster import ClusterHTTPServer, ClusterRouter
 from repro.core.api import AnalyzeRequest, canonical_json, serialize_analysis
-from repro.errors import DeadlineExceededError, ServeError
+from repro.errors import DeadlineExceededError, ExecutionBackendError, ServeError
+from repro.obs.ids import REQUEST_ID_HEADER
 from repro.serve import AnalysisService, ServeClient, start_server
-from repro.serve.http import AnalysisHTTPServer
+from repro.serve.http import MAX_BODY_BYTES, AnalysisHTTPServer
+from tests.test_obs import parse_prometheus
 
 
 @pytest.fixture
@@ -27,6 +30,45 @@ def served():
     client.close()
     server.stop()
     assert service.close(timeout=10.0)
+
+
+@pytest.fixture(params=["serve", "cluster"])
+def front_end(request):
+    """An unstarted server of either front end: ``serve`` directly over
+    a service, or ``cluster`` as a router over one in-process replica."""
+    service = AnalysisService(max_batch=8, max_wait=0.0, cache_size=8,
+                              n_workers=1, queue_limit=8)
+    replica = router = None
+    if request.param == "serve":
+        server = AnalysisHTTPServer(("127.0.0.1", 0), service)
+    else:
+        replica = start_server(service)
+        router = ClusterRouter([f"127.0.0.1:{replica.port}"],
+                               health_interval=0.05, timeout=30.0).start()
+        server = ClusterHTTPServer(("127.0.0.1", 0), router)
+    yield server
+    server.stop()
+    if router is not None:
+        router.close()
+        replica.stop()
+    assert service.close(timeout=10.0)
+
+
+@pytest.fixture
+def live(front_end):
+    """The base URL of a running :func:`front_end` server."""
+    front_end.start_background()
+    return f"http://127.0.0.1:{front_end.port}"
+
+
+def http_error(url, data=None, headers=None):
+    """The ``HTTPError`` a request to *url* must raise."""
+    request = urllib.request.Request(
+        url, data=data, headers=dict(headers or {}),
+        method="GET" if data is None else "POST")
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=30)
+    return excinfo.value
 
 
 class TestEndpoints:
@@ -69,46 +111,90 @@ class TestEndpoints:
                                               "p99", "max"}
         assert metrics["cache"]["capacity"] == 128
 
-    def test_bad_json_is_400(self, served):
-        _, server, _ = served
-        request = urllib.request.Request(
-            f"http://127.0.0.1:{server.port}/analyze", data=b"{not json",
-            headers={"Content-Type": "application/json"}, method="POST")
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
+    def test_bad_json_is_400(self, live):
+        error = http_error(f"{live}/analyze", b"{not json",
+                           {"Content-Type": "application/json"})
+        assert error.code == 400
+
+    def test_oversized_body_is_400(self, live):
+        error = http_error(f"{live}/analyze", b"x",
+                           {"Content-Length": str(MAX_BODY_BYTES + 1)})
+        assert error.code == 400
+        assert json.loads(error.read())["type"] == "ServeError"
+
+    def test_unknown_metrics_format_is_400(self, live):
+        error = http_error(f"{live}/metrics?format=bogus")
+        assert error.code == 400
+        assert "unknown metrics format" in json.loads(error.read())["error"]
+
+    def test_prometheus_metrics_parse(self, live):
+        with urllib.request.urlopen(f"{live}/metrics/prometheus",
+                                    timeout=30) as response:
+            assert response.headers["Content-Type"].startswith("text/plain")
+            samples = parse_prometheus(response.read().decode("utf-8"))
+        assert samples
 
     def test_invalid_request_is_serve_error(self, served):
         _, _, client = served
         with pytest.raises(ServeError, match="unknown request fields"):
             client.analyze({"airfoil": "2412", "bogus": 1})
 
-    def test_unknown_path_is_404(self, served):
-        _, server, _ = served
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(
-                f"http://127.0.0.1:{server.port}/nope", timeout=10)
-        assert excinfo.value.code == 404
+    def test_unknown_path_is_404(self, live):
+        assert http_error(f"{live}/nope").code == 404
+
+
+class TestErrorMapping:
+    def test_worker_crash_is_a_retryable_503(self, served, monkeypatch):
+        """A crashed worker shard is a capacity failure, not a bad
+        request: 503 lets the router fail over and the client retry."""
+        service, server, _ = served
+
+        def crash(*args, **kwargs):
+            raise ExecutionBackendError("worker process died mid-shard")
+
+        monkeypatch.setattr(service, "analyze", crash)
+        error = http_error(f"http://127.0.0.1:{server.port}/analyze",
+                           json.dumps({"airfoil": "2412"}).encode())
+        assert error.code == 503
+        assert json.loads(error.read())["type"] == "ExecutionBackendError"
+
+    def test_bad_json_echoes_the_request_id(self, live):
+        error = http_error(f"{live}/analyze", b"{not json",
+                           {REQUEST_ID_HEADER: "bad-json-1"})
+        assert error.code == 400
+        assert error.headers.get(REQUEST_ID_HEADER) == "bad-json-1"
+        assert json.loads(error.read())["request_id"] == "bad-json-1"
+
+    def test_bad_deadline_header_on_batch_echoes_the_request_id(self, live):
+        error = http_error(f"{live}/analyze_batch",
+                           json.dumps({"requests": []}).encode(),
+                           {REQUEST_ID_HEADER: "bad-deadline-1",
+                            "X-Repro-Deadline-Ms": "-5"})
+        assert error.code == 400
+        assert error.headers.get(REQUEST_ID_HEADER) == "bad-deadline-1"
+        assert json.loads(error.read())["request_id"] == "bad-deadline-1"
+
+    def test_invalid_request_id_is_400_and_not_echoed(self, live):
+        error = http_error(f"{live}/metrics",
+                           headers={REQUEST_ID_HEADER: "bad id"})
+        assert error.code == 400
+        assert error.headers.get(REQUEST_ID_HEADER) is None
+        assert "request_id" not in json.loads(error.read())
 
 
 class TestServerLifecycle:
-    def test_stop_before_start_returns_promptly(self):
+    def test_stop_before_start_returns_promptly(self, front_end):
         """Regression: stop() before start_background() called
         BaseServer.shutdown(), which waits on an event only
         serve_forever() sets — hanging forever.  It must just close the
         socket and return."""
-        service = AnalysisService(max_batch=2, max_wait=0.0, cache_size=8,
-                                  n_workers=1, queue_limit=8)
-        server = AnalysisHTTPServer(("127.0.0.1", 0), service)
         start = time.monotonic()
-        server.stop(timeout=1.0)
+        front_end.stop(timeout=1.0)
         assert time.monotonic() - start < 5.0
-        assert service.close(timeout=5.0)
 
-    def test_stop_is_idempotent_after_running(self, served):
-        _, server, _ = served
-        server.stop()
-        server.stop()  # second call: no thread left, must not hang
+    def test_stop_is_idempotent_after_running(self, front_end, live):
+        front_end.stop()
+        front_end.stop()  # second call: no thread left, must not hang
 
 
 class TestDeadlines:
