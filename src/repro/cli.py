@@ -132,11 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="worker-process count for --exec-backend "
                                 "process (default: REPRO_EXEC_PROCS, else "
                                 "2..4 from the core count)")
-    sub_serve.add_argument("--exec-solve", choices=["worker", "parent"],
-                           default=None,
-                           help="process backend only: run the batched LU in "
-                                "each worker (default) or assemble in workers "
-                                "and solve one batched LU in the parent")
     sub_serve.add_argument("--assembly-kernel",
                            choices=["reference", "fused", "native"],
                            default=None,
@@ -310,16 +305,6 @@ def run_serve(arguments) -> int:
 
     max_wait = (None if arguments.max_wait_ms is None
                 else arguments.max_wait_ms / 1e3)
-    exec_backend = arguments.exec_backend
-    if exec_backend == "process" and arguments.exec_solve is not None:
-        from repro.parallel import make_backend
-
-        # --exec-solve needs the explicit constructor; the service
-        # still owns nothing here, so close it ourselves below.
-        exec_backend = make_backend(
-            "process", n_procs=arguments.exec_procs,
-            solve_in_worker=arguments.exec_solve != "parent",
-        )
     service = AnalysisService(
         max_batch=arguments.max_batch, max_wait=max_wait,
         cache_size=arguments.cache_size, n_workers=arguments.workers,
@@ -330,7 +315,8 @@ def run_serve(arguments) -> int:
         logger=make_logger(arguments.log_format),
         slo_latency_ms=arguments.slo_latency_ms,
         slo_target=arguments.slo_target,
-        exec_backend=exec_backend, exec_procs=arguments.exec_procs,
+        exec_backend=arguments.exec_backend,
+        exec_procs=arguments.exec_procs,
         assembly_kernel=arguments.assembly_kernel,
         jobs_dir=arguments.jobs_dir, job_slots=arguments.job_slots,
         autotune=arguments.autotune,
@@ -367,8 +353,6 @@ def run_serve(arguments) -> int:
     finally:
         server.stop()
         drained = service.close()
-        if not isinstance(exec_backend, (str, type(None))):
-            exec_backend.close()  # constructed above for --exec-solve
         print("drained and stopped" if drained else "stopped (drain timed out)",
               flush=True)
     return 0

@@ -41,7 +41,7 @@ from repro.linalg import batched_lu_factor, batched_lu_solve
 from repro.panel.assembly import assemble
 from repro.panel.freestream import Freestream
 from repro.panel.solution import PanelSolution
-from repro.panel.solver import PanelSolver
+from repro.panel.solver import PanelSolver, solution_from_unknowns
 from repro.pipeline.engine import Timeline, simulate
 from repro.pipeline.metrics import HybridMetrics, evaluate
 from repro.pipeline.schedules import cpu_only, dual_accelerator, hybrid
@@ -362,25 +362,6 @@ class AnalyzeRequest:
         return result
 
 
-@dataclasses.dataclass(frozen=True)
-class SolvedSystem:
-    """A solved panel system, ready for post-processing.
-
-    This is the unit of work an execution backend returns: the
-    assembled-and-solved state of one request *before* the viscous pass
-    and response shaping.  ``gamma`` is the expanded circulation row in
-    the system's native precision (the post-process step widens it to
-    ``float64``, exactly); ``constant`` is the boundary-condition
-    constant from the closure row.
-    """
-
-    airfoil: Airfoil
-    freestream: Freestream
-    closure: object
-    gamma: np.ndarray
-    constant: float
-
-
 def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
                           stage_hook=None, kernel=None) -> List:
     """Assemble and LU-solve many requests (the backend work unit).
@@ -390,8 +371,8 @@ def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
     :func:`repro.linalg.batched_lu_factor` — the code path the paper's
     hardware timings describe.  This function is the contract an
     :class:`repro.parallel.ExecutionBackend` implements: the inline
-    backend calls it directly, and the process backend runs it (or its
-    assembly half) inside worker processes, shard by shard.  The
+    backend calls it directly, and the process backend runs it inside
+    worker processes, shard by shard.  The
     batched kernels are elementwise across the stack, which is why
     shard-wise solving produces bit-identical numbers.
 
@@ -401,8 +382,9 @@ def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
     implementation (``reference`` / ``fused`` / ``native``; ``None``
     defers to ``REPRO_ASSEMBLY_KERNEL`` — see ``docs/kernels.md``).
 
-    Returns one entry per request, in order: a :class:`SolvedSystem` on
-    success, or the :class:`ReproError` that request raised.
+    Returns one entry per request, in order: a :class:`PanelSolution`
+    (circulation widened to ``float64``, exactly) on success, or the
+    :class:`ReproError` that request raised.
     """
     def _stage(name: str, start: float, end: float, count: int) -> None:
         if stage_hook is not None:
@@ -420,30 +402,22 @@ def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
             results[index] = error
             continue
         key = (system.n_unknowns, system.matrix.dtype)
-        groups.setdefault(key, []).append((index, request, system))
+        groups.setdefault(key, []).append((index, system))
     _stage("assembly", assembly_started, time.monotonic(), len(requests))
     for members in groups.values():
-        matrices = np.stack([system.matrix for _, _, system in members])
-        rhs = np.stack([system.rhs for _, _, system in members])
+        matrices = np.stack([system.matrix for _, system in members])
+        rhs = np.stack([system.rhs for _, system in members])
         solve_started = time.monotonic()
         try:
             unknowns = batched_lu_solve(batched_lu_factor(matrices, overwrite=True), rhs)
         except ReproError as error:
-            for index, _, _ in members:
+            for index, _ in members:
                 results[index] = error
             continue
         finally:
             _stage("solve", solve_started, time.monotonic(), len(members))
-        for (index, request, system), row in zip(members, unknowns):
-            try:
-                gamma, constant = system.expand_solution(row)
-            except ReproError as error:
-                results[index] = error
-                continue
-            results[index] = SolvedSystem(
-                airfoil=system.airfoil, freestream=system.freestream,
-                closure=system.closure, gamma=gamma, constant=constant,
-            )
+        for (index, system), row in zip(members, unknowns):
+            results[index] = solution_from_unknowns(system, row)
     return results
 
 
@@ -465,7 +439,7 @@ def evaluate_requests(requests: Sequence[AnalyzeRequest], *,
     end, count)`` with monotonic stamps around each internal stage —
     ``"assembly"`` and ``"solve"`` from the backend (plus per-shard
     ``"assembly_shard"`` / ``"solve_shard"`` spans under the process
-    backend), ``"postprocess"`` once for the expand+viscous loop — so
+    backend), ``"postprocess"`` once for the viscous loop — so
     the serving tracer and ``analyze --trace`` can report the paper's
     W/A/L/O decomposition for live work without this module knowing
     anything about spans.
@@ -487,18 +461,11 @@ def evaluate_requests(requests: Sequence[AnalyzeRequest], *,
             results[index] = entry
             continue
         try:
-            solution = PanelSolution(
-                airfoil=entry.airfoil,
-                freestream=entry.freestream,
-                closure=entry.closure,
-                gamma=np.asarray(entry.gamma, dtype=np.float64),
-                constant=entry.constant,
-            )
             viscous = None
             if request.reynolds is not None:
-                viscous = analyze_viscous(solution, request.reynolds,
+                viscous = analyze_viscous(entry, request.reynolds,
                                           use_head=request.use_head)
-            results[index] = AirfoilAnalysis(solution=solution, viscous=viscous)
+            results[index] = AirfoilAnalysis(solution=entry, viscous=viscous)
         except ReproError as error:
             results[index] = error
     if stage_hook is not None:

@@ -19,10 +19,10 @@ import numpy as np
 from repro.geometry.airfoil import Airfoil
 from repro.hardware.kernels import KernelCost, KernelModel
 from repro.hardware.specs import DeviceSpec
-from repro.linalg.batched import batched_lu_factor, batched_lu_solve
 from repro.panel.assembly import Closure, assemble_batch
 from repro.panel.freestream import Freestream
 from repro.panel.solution import PanelSolution
+from repro.panel.solver import solve_stack
 from repro.precision import Precision
 
 
@@ -102,17 +102,8 @@ class SimulatedDevice:
         matrices, rhs = assembly.matrices, assembly.rhs
         if matrices is None or rhs is None or assembly.systems is None:
             raise ValueError("run_solve needs a functional AssemblyOutput")
-        unknowns = batched_lu_solve(batched_lu_factor(matrices), rhs)
-        solutions = []
-        for system, row in zip(assembly.systems, unknowns):
-            gamma, constant = system.expand_solution(row)
-            solutions.append(PanelSolution(
-                airfoil=system.airfoil,
-                freestream=system.freestream,
-                closure=system.closure,
-                gamma=np.asarray(gamma, dtype=np.float64),
-                constant=constant,
-            ))
+        # Never in place: callers may still hold ``assembly.matrices``.
+        solutions = solve_stack(matrices, rhs, assembly.systems)
         n = matrices.shape[1]
         cost = self.model.solve(len(solutions), n)
         return SolveOutput(cost=cost, solutions=solutions)

@@ -7,7 +7,9 @@ time.  :class:`BatchedGenerationEvaluator` is the drop-in replacement
 every feasible genome of a generation into one batch and routes it
 through the shared backend path in :mod:`repro.core.api` — the same
 stacked-assembly + batched-LU code the HTTP ``/analyze`` traffic uses,
-including the ``REPRO_EXEC_BACKEND=process`` shared-memory pool.
+including the ``REPRO_EXEC_BACKEND=process`` worker pool, whose
+workers solve their shards and send each circulation row back over a
+pipe.
 
 **Bit-for-bit parity.**  The batched LU kernels are elementwise across
 the stack, and the serial path evaluates through
@@ -40,7 +42,6 @@ from repro.core.api import AnalyzeRequest
 from repro.errors import ExecutionBackendError, LinalgError
 from repro.optimize.fitness import EvaluationRecord, FitnessEvaluator
 from repro.panel.assembly import Closure
-from repro.panel.solution import PanelSolution
 from repro.precision import Precision
 
 
@@ -118,11 +119,4 @@ class BatchedGenerationEvaluator:
             # feasibility gate) would propagate out of the serial loop
             # too: keep that contract.
             raise entry
-        solution = PanelSolution(
-            airfoil=entry.airfoil,
-            freestream=entry.freestream,
-            closure=entry.closure,
-            gamma=np.asarray(entry.gamma, dtype=np.float64),
-            constant=entry.constant,
-        )
-        return self.evaluator.classify_solution(solution)
+        return self.evaluator.classify_solution(entry)

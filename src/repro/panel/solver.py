@@ -1,9 +1,15 @@
 """High-level panel-method solver.
 
 Ties together assembly (:mod:`repro.panel.assembly`) and the in-house
-LU kernels (:mod:`repro.linalg`) and returns a
+batched LU kernels (:mod:`repro.linalg`) and returns a
 :class:`~repro.panel.solution.PanelSolution`.  This is the "inner
 solver" the paper's genetic optimizer calls thousands of times.
+
+:func:`solve_stack` is the library's one batched-LU loop over an
+assembled stack: :class:`PanelSolver`, the simulated devices of
+:mod:`repro.hardware.device` and the functional hybrid executor all
+use it.  (The serving path keeps its own grouped loop in
+:mod:`repro.core.api`.)
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.geometry.airfoil import Airfoil
-from repro.linalg import batched_lu_factor, batched_lu_solve, lu_factor, lu_solve
-from repro.panel.assembly import Closure, assemble, assemble_batch
+from repro.linalg import batched_lu_factor, batched_lu_solve
+from repro.panel.assembly import Closure, PanelSystem, assemble_batch
 from repro.panel.freestream import Freestream
 from repro.panel.solution import PanelSolution
 from repro.precision import Precision, PrecisionLike
@@ -47,20 +53,8 @@ class PanelSolver:
         return cls(precision=Precision.parse(precision), **kwargs)
 
     def solve(self, airfoil: Airfoil, freestream: Freestream = None) -> PanelSolution:
-        """Solve one airfoil/free-stream configuration."""
-        freestream = freestream or Freestream()
-        system = assemble(
-            airfoil, freestream, closure=self.closure, dtype=self.precision.dtype
-        )
-        unknowns = lu_solve(lu_factor(system.matrix), system.rhs)
-        gamma, constant = system.expand_solution(unknowns)
-        return PanelSolution(
-            airfoil=airfoil,
-            freestream=freestream,
-            closure=self.closure,
-            gamma=np.asarray(gamma, dtype=np.float64),
-            constant=constant,
-        )
+        """Solve one airfoil/free-stream configuration (a stack of one)."""
+        return self.solve_batch([airfoil], freestream)[0]
 
     def solve_batch(self, airfoils: Sequence[Airfoil],
                     freestream: Freestream = None) -> List[PanelSolution]:
@@ -73,18 +67,43 @@ class PanelSolver:
         matrices, rhs, systems = assemble_batch(
             airfoils, freestream, closure=self.closure, dtype=self.precision.dtype
         )
-        unknowns = batched_lu_solve(batched_lu_factor(matrices, overwrite=True), rhs)
-        solutions = []
-        for system, row in zip(systems, unknowns):
-            gamma, constant = system.expand_solution(row)
-            solutions.append(PanelSolution(
-                airfoil=system.airfoil,
-                freestream=freestream,
-                closure=self.closure,
-                gamma=np.asarray(gamma, dtype=np.float64),
-                constant=constant,
-            ))
-        return solutions
+        return solve_stack(matrices, rhs, systems, overwrite=True)
+
+
+def solution_from_unknowns(system: PanelSystem, unknowns) -> PanelSolution:
+    """The :class:`PanelSolution` of *system* for its solved unknowns.
+
+    The circulation is widened to ``float64`` (exact for a
+    single-precision solve): results are always post-processed in
+    double precision.
+    """
+    gamma, constant = system.expand_solution(unknowns)
+    return PanelSolution(
+        airfoil=system.airfoil,
+        freestream=system.freestream,
+        closure=system.closure,
+        gamma=np.asarray(gamma, dtype=np.float64),
+        constant=constant,
+    )
+
+
+def solve_stack(matrices: np.ndarray, rhs: np.ndarray,
+                systems: Sequence[PanelSystem], *,
+                overwrite: bool = False) -> List[PanelSolution]:
+    """Batched-LU solve an assembled stack; one solution per system.
+
+    ``matrices``/``rhs``/``systems`` are what
+    :func:`~repro.panel.assembly.assemble_batch` returns.  The batched
+    kernels factor each matrix independently, so a system's solution
+    does not depend on its stackmates.  ``overwrite=True`` lets the
+    factorization reuse *matrices* in place; leave it off when a caller
+    may still hold the stack.
+    """
+    unknowns = batched_lu_solve(
+        batched_lu_factor(matrices, overwrite=overwrite), rhs
+    )
+    return [solution_from_unknowns(system, row)
+            for system, row in zip(systems, unknowns)]
 
 
 def solve_airfoil(airfoil: Airfoil, alpha_degrees: float = 0.0, *,

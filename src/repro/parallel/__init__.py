@@ -2,19 +2,19 @@
 
 This package supplies the :class:`ExecutionBackend` seam used by
 :func:`repro.core.api.evaluate_requests`: ``inline`` (default — solve
-in the calling thread) and ``process`` (shard a micro-batch's assembly
-and, optionally, the batched LU across persistent worker processes,
-moving bulk arrays through POSIX shared memory).  See
+in the calling thread) and ``process`` (shard a micro-batch across
+persistent worker processes; each worker assembles and LU-solves its
+shard and sends the circulation rows back over its pipe).  See
 :mod:`repro.parallel.pool` for the backend implementations,
-:mod:`repro.parallel.protocol` for the shard/layout maths, and the
-"Execution backends" section of ``docs/serving.md`` for trade-offs.
+:mod:`repro.parallel.protocol` for the shard messages and maths, and
+the "Execution backends" section of ``docs/serving.md`` for
+trade-offs.
 """
 
 from repro.parallel.pool import (
     BACKEND_ENV,
     BACKEND_NAMES,
     PROCS_ENV,
-    SOLVE_ENV,
     ExecutionBackend,
     InlineBackend,
     ProcessBackend,
@@ -23,15 +23,11 @@ from repro.parallel.pool import (
     make_backend,
     resolve_backend,
 )
-from repro.parallel.protocol import MODE_PARENT, MODE_WORKER
 
 __all__ = [
     "BACKEND_ENV",
     "BACKEND_NAMES",
     "PROCS_ENV",
-    "SOLVE_ENV",
-    "MODE_PARENT",
-    "MODE_WORKER",
     "ExecutionBackend",
     "InlineBackend",
     "ProcessBackend",

@@ -1,17 +1,19 @@
-"""Execution backends: inline, and a process pool with shared memory.
+"""Execution backends: inline, and a pool of worker processes.
 
 The paper's CPU-path observation is that *assembly dominates* and must
 be overlapped with the solve; a Python serving process cannot get that
 overlap from threads because assembly is GIL-bound numpy-and-loop
 work.  :class:`ProcessBackend` therefore shards each micro-batch
-across ``N`` persistent worker processes — real execution units — and
-moves the bulk ``float64`` payload through
-``multiprocessing.shared_memory`` (see :mod:`repro.parallel.shm`)
-instead of pickling it.
+across ``N`` persistent worker processes — real execution units.  Each
+worker assembles *and* solves its shard and sends back, over its pipe,
+one ``n_panels + 1`` row of ``float64`` per request (the circulation
+strengths and the boundary constant); the parent rebuilds each
+:class:`~repro.panel.solution.PanelSolution` from the request it
+already holds.
 
 The seam is :class:`ExecutionBackend`: one method,
 ``solve(requests, stage_hook=...)``, returning per-request
-:class:`~repro.core.api.SolvedSystem` entries (or the
+:class:`~repro.panel.solution.PanelSolution` entries (or the
 :class:`~repro.errors.ReproError` a request raised).
 :class:`InlineBackend` is the default and simply runs
 :func:`repro.core.api.solve_request_systems` in the calling thread;
@@ -31,8 +33,8 @@ Failure containment, not just speed:
   inline rather than erroring.
 
 Small batches are a real trade-off: dispatching one request to one
-child costs a pipe round trip plus a shared-memory segment, so inline
-wins below a handful of requests per shard — see the "Execution
+child costs a pickled pipe round trip, so inline wins below a
+handful of requests per shard — see the "Execution
 backends" section of ``docs/serving.md``.
 """
 
@@ -48,17 +50,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ExecutionBackendError, ReproError, ServeError
-from repro.parallel import shm as shm_transport
+from repro.errors import ExecutionBackendError, ServeError
+from repro.panel.assembly import Closure
+from repro.panel.solution import PanelSolution
 from repro.parallel.protocol import (
-    MODE_PARENT,
-    MODE_WORKER,
     ShardReply,
     ShardTask,
     anchor_stamps,
-    expand_kutta_row,
     merge_envelope,
-    plan_layout,
     plan_shards,
 )
 
@@ -69,12 +68,12 @@ BACKEND_ENV = "REPRO_EXEC_BACKEND"
 #: Environment variable overriding the process backend's worker count.
 PROCS_ENV = "REPRO_EXEC_PROCS"
 
-#: Environment variable selecting where the LU runs (``worker`` /
-#: ``parent``) for env-constructed process backends.
-SOLVE_ENV = "REPRO_EXEC_SOLVE"
+#: Seconds a dispatched shard may run before its worker is declared
+#: wedged, killed, and the shard failed.
+SHARD_TIMEOUT = 120.0
 
-#: Environment variable overriding the multiprocessing start method.
-START_ENV = "REPRO_EXEC_START"
+#: Seconds to wait for a fresh worker's ready handshake.
+START_TIMEOUT = 30.0
 
 
 class ExecutionBackend:
@@ -90,7 +89,7 @@ class ExecutionBackend:
     def solve(self, requests: Sequence, *, stage_hook=None,
               kernel=None) -> List:
         """Assemble and solve *requests*; one entry per request, in
-        order — a :class:`~repro.core.api.SolvedSystem` or the
+        order — a :class:`~repro.panel.solution.PanelSolution` or the
         :class:`~repro.errors.ReproError` that request raised.
         ``kernel`` selects the assembly kernel (``None`` defers to
         ``REPRO_ASSEMBLY_KERNEL``; see ``docs/kernels.md``)."""
@@ -144,7 +143,6 @@ def _picklable(error: BaseException) -> BaseException:
 def _run_shard(task: ShardTask) -> ShardReply:
     """Execute one shard inside a worker process."""
     from repro.core.api import solve_request_systems
-    from repro.panel.assembly import assemble
 
     base = time.monotonic()
     stamps: List[Tuple[str, float, float, int]] = []
@@ -152,50 +150,15 @@ def _run_shard(task: ShardTask) -> ShardReply:
     def hook(stage: str, start: float, end: float, count: int) -> None:
         stamps.append((stage, start - base, end - base, count))
 
-    segment = shm_transport.attach_segment(task.shm_name)
-    outcomes: List[Optional[BaseException]] = []
-    try:
-        if task.mode == MODE_WORKER:
-            solved = solve_request_systems(task.requests, stage_hook=hook,
-                                           kernel=task.kernel)
-            for request, offset, entry in zip(task.requests, task.offsets,
-                                              solved):
-                if isinstance(entry, BaseException):
-                    outcomes.append(_picklable(entry))
-                    continue
-                n = int(request.n_panels)
-                row = shm_transport.slot_view(segment, offset, (n + 1,),
-                                              np.float64)
-                row[:n] = entry.gamma  # float32 -> float64 widening is exact
-                row[n] = entry.constant
-                outcomes.append(None)
-        else:
-            assembly_started = time.monotonic()
-            for request, offset in zip(task.requests, task.offsets):
-                try:
-                    system = assemble(request.build_airfoil(),
-                                      request.freestream(),
-                                      dtype=request.precision.dtype,
-                                      kernel=task.kernel)
-                except ReproError as error:
-                    outcomes.append(_picklable(error))
-                    continue
-                m = system.n_unknowns
-                dtype = system.matrix.dtype
-                matrix = shm_transport.slot_view(segment, offset, (m, m), dtype)
-                matrix[:] = system.matrix
-                rhs = shm_transport.slot_view(
-                    segment, offset + m * m * dtype.itemsize, (m,), dtype
-                )
-                rhs[:] = system.rhs
-                outcomes.append(None)
-            hook("assembly", assembly_started, time.monotonic(),
-                 len(task.requests))
-    finally:
-        segment.close()
+    solved = solve_request_systems(task.requests, stage_hook=hook,
+                                   kernel=task.kernel)
+    outcomes = tuple(
+        _picklable(entry) if isinstance(entry, BaseException)
+        else (entry.gamma, entry.constant)
+        for entry in solved
+    )
     return ShardReply(seq=task.seq, shard_index=task.shard_index,
-                      outcomes=tuple(outcomes), error=None,
-                      stamps=tuple(stamps),
+                      outcomes=outcomes, error=None, stamps=tuple(stamps),
                       elapsed=time.monotonic() - base)
 
 
@@ -253,14 +216,13 @@ class _Worker:
 class _Shard:
     """Book-keeping for one dispatched shard."""
 
-    __slots__ = ("index", "bounds", "task", "segment", "worker",
+    __slots__ = ("index", "bounds", "task", "worker",
                  "sent_at", "received_at", "reply")
 
     def __init__(self, index: int, bounds: Tuple[int, int]) -> None:
         self.index = index
         self.bounds = bounds
         self.task: Optional[ShardTask] = None
-        self.segment = None
         self.worker: Optional[_Worker] = None
         self.sent_at = 0.0
         self.received_at = 0.0
@@ -268,68 +230,45 @@ class _Shard:
 
 
 def _default_procs() -> int:
-    """Worker count when none is configured: 2..4, always >= 2 so the
-    sharded code path is exercised even on small hosts."""
-    raw = os.environ.get(PROCS_ENV)
-    if raw:
-        return int(raw)
-    return max(2, min(4, os.cpu_count() or 2))
-
-
-def _default_context_name() -> str:
-    raw = os.environ.get(START_ENV, "").strip().lower()
-    if raw:
-        return raw
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
+    """Worker count when none is configured: ``REPRO_EXEC_PROCS``, else
+    2..4, always >= 2 so the sharded code path is exercised even on
+    small hosts."""
+    raw = os.environ.get(PROCS_ENV, "").strip()
+    if not raw:
+        return max(2, min(4, os.cpu_count() or 2))
+    try:
+        procs = int(raw)
+    except ValueError:
+        procs = 0
+    if procs < 1:
+        raise ServeError(
+            f"{PROCS_ENV} must be a positive integer, got {raw!r}"
+        )
+    return procs
 
 
 class ProcessBackend(ExecutionBackend):
-    """Shard assembly (and optionally the batched LU) across processes.
+    """Shard assembly and the batched LU across worker processes.
 
     Parameters
     ----------
     n_procs:
         Worker processes (default: ``REPRO_EXEC_PROCS`` or 2..4 from
         the host's core count; always at least 2).
-    solve_in_worker:
-        ``True`` (default): each child assembles *and* LU-solves its
-        shard, so only ``n_panels + 1`` circulation doubles per request
-        cross back.  ``False``: children only assemble; the stacked
-        matrices and right-hand sides cross through shared memory and
-        the parent runs one batched LU per ``(size, dtype)`` group —
-        the better mode when the batch is large enough that the
-        vectorized elimination loop's per-step overhead (paid once per
-        *stack*, not per matrix) outweighs parallelizing it.
-    mp_context:
-        Multiprocessing start method (default ``REPRO_EXEC_START``,
-        else ``fork`` where available).
-    shard_timeout:
-        Seconds a dispatched shard may run before its worker is
-        declared wedged, killed, and the shard failed.
-    start_timeout:
-        Seconds to wait for a fresh worker's ready handshake.
 
-    Construction never raises for environmental reasons: if workers
-    cannot be started the backend marks itself broken and serves every
-    batch inline (see ``stats()['inline_fallbacks']``).
+    Workers start with ``fork`` where the platform has it, else
+    ``spawn``.  Construction never raises for environmental reasons:
+    if workers cannot be started the backend marks itself broken and
+    serves every batch inline (see ``stats()['inline_fallbacks']``).
     """
 
     name = "process"
 
-    def __init__(self, n_procs: Optional[int] = None, *,
-                 solve_in_worker: bool = True,
-                 mp_context: Optional[str] = None,
-                 shard_timeout: float = 120.0,
-                 start_timeout: float = 30.0) -> None:
+    def __init__(self, n_procs: Optional[int] = None) -> None:
         procs = _default_procs() if n_procs is None else int(n_procs)
         if procs < 1:
             raise ServeError(f"n_procs must be at least 1, got {n_procs}")
         self.n_procs = procs
-        self.solve_in_worker = bool(solve_in_worker)
-        self.shard_timeout = float(shard_timeout)
-        self.start_timeout = float(start_timeout)
-        self._mode = MODE_WORKER if self.solve_in_worker else MODE_PARENT
         self._lock = threading.Lock()
         self._workers: List[Optional[_Worker]] = [None] * procs
         self._seq = 0
@@ -346,11 +285,9 @@ class ProcessBackend(ExecutionBackend):
         #: shard is written to its worker's pipe (used by the crash
         #: tests to SIGKILL a child deterministically mid-shard).
         self._after_dispatch: Optional[Callable] = None
-        try:
-            context_name = mp_context or _default_context_name()
-            self._ctx = multiprocessing.get_context(context_name)
-        except ValueError as error:
-            raise ServeError(f"unknown multiprocessing context: {error}")
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn")
         try:
             with self._lock:
                 self._ensure_workers_locked()
@@ -369,11 +306,11 @@ class ProcessBackend(ExecutionBackend):
         )
         process.start()
         child_conn.close()
-        if not parent_conn.poll(self.start_timeout):
+        if not parent_conn.poll(START_TIMEOUT):
             process.terminate()
             raise ExecutionBackendError(
                 f"worker {index} did not complete its ready handshake "
-                f"within {self.start_timeout:g}s"
+                f"within {START_TIMEOUT:g}s"
             )
         parent_conn.recv()  # ("ready", pid)
         return _Worker(process, parent_conn)
@@ -465,47 +402,37 @@ class ProcessBackend(ExecutionBackend):
                       kernel=None) -> List:
         shards = [_Shard(index, bounds) for index, bounds in
                   enumerate(plan_shards(len(requests), self.n_procs))]
-        try:
-            self._dispatch(shards, requests, kernel)
-            self._collect(shards)
-            crashed = [shard for shard in shards if shard.reply is None]
-            if crashed:
-                self._worker_crashes += len(crashed)
-                self._repair_after_crash(crashed)
-                if len(crashed) == len(shards) and not self._ever_succeeded:
-                    # Every worker died the very first time the pool was
-                    # used: treat it as a failed start and degrade.
-                    self._broken = True
-                    self._start_failures += 1
-                    self._inline_fallbacks += 1
-                    from repro.core.api import solve_request_systems
+        self._dispatch(shards, requests, kernel)
+        self._collect(shards)
+        crashed = [shard for shard in shards if shard.reply is None]
+        if crashed:
+            self._worker_crashes += len(crashed)
+            self._repair_after_crash(crashed)
+            if len(crashed) == len(shards) and not self._ever_succeeded:
+                # Every worker died the very first time the pool was
+                # used: treat it as a failed start and degrade.
+                self._broken = True
+                self._start_failures += 1
+                self._inline_fallbacks += 1
+                from repro.core.api import solve_request_systems
 
-                    return solve_request_systems(requests,
-                                                 stage_hook=stage_hook,
-                                                 kernel=kernel)
-            if any(shard.reply is not None for shard in shards):
-                self._ever_succeeded = True
-            self._shards_dispatched += len(shards)
-            self._sharded_requests += len(requests)
-            return self._gather(shards, requests, stage_hook)
-        finally:
-            for shard in shards:
-                if shard.segment is not None:
-                    shm_transport.destroy_segment(shard.segment)
-                    shard.segment = None
+                return solve_request_systems(requests,
+                                             stage_hook=stage_hook,
+                                             kernel=kernel)
+        if any(shard.reply is not None for shard in shards):
+            self._ever_succeeded = True
+        self._shards_dispatched += len(shards)
+        self._sharded_requests += len(requests)
+        return self._gather(shards, requests, stage_hook)
 
     def _dispatch(self, shards: List[_Shard], requests: List,
                   kernel=None) -> None:
         for shard in shards:
             start, stop = shard.bounds
-            shard_requests = tuple(requests[start:stop])
-            offsets, total = plan_layout(shard_requests, self._mode)
-            shard.segment = shm_transport.create_segment(total)
             self._seq += 1
             shard.task = ShardTask(
-                seq=self._seq, shard_index=shard.index, mode=self._mode,
-                requests=shard_requests, shm_name=shard.segment.name,
-                offsets=offsets, kernel=kernel,
+                seq=self._seq, shard_index=shard.index,
+                requests=tuple(requests[start:stop]), kernel=kernel,
             )
             worker = self._workers[shard.index]
             try:
@@ -531,7 +458,7 @@ class ProcessBackend(ExecutionBackend):
     def _collect(self, shards: List[_Shard]) -> None:
         for shard in shards:
             worker = shard.worker
-            deadline = shard.sent_at + self.shard_timeout
+            deadline = shard.sent_at + SHARD_TIMEOUT
             while shard.reply is None:
                 try:
                     if worker.conn.poll(0.02):
@@ -566,7 +493,6 @@ class ProcessBackend(ExecutionBackend):
                 stage_hook) -> List:
         results: List = [None] * len(requests)
         anchored: List[Tuple[str, float, float, int]] = []
-        pending_groups: Dict = {}
         for shard in shards:
             start, stop = shard.bounds
             reply = shard.reply
@@ -583,80 +509,23 @@ class ProcessBackend(ExecutionBackend):
                 continue
             anchored.extend(anchor_stamps(reply.stamps, reply.elapsed,
                                           shard.received_at))
-            for slot, (index, outcome) in enumerate(
-                    zip(range(start, stop), reply.outcomes)):
-                if outcome is not None:
+            for index, outcome in zip(range(start, stop), reply.outcomes):
+                if isinstance(outcome, BaseException):
                     results[index] = outcome
-                    continue
-                request = requests[index]
-                offset = shard.task.offsets[slot]
-                if self._mode == MODE_WORKER:
-                    results[index] = self._read_solved_row(
-                        request, shard.segment, offset
-                    )
                 else:
-                    key = (request.n_panels,
-                           np.dtype(request.precision.dtype))
-                    pending_groups.setdefault(key, []).append(
-                        (index, request, shard.segment, offset)
-                    )
+                    results[index] = self._solution(requests[index],
+                                                    *outcome)
         self._emit_stamps(anchored, len(requests), stage_hook)
-        if pending_groups:
-            self._solve_parent_groups(pending_groups, results, stage_hook)
         return results
 
     @staticmethod
-    def _read_solved_row(request, segment, offset):
-        from repro.core.api import SolvedSystem
-        from repro.panel.assembly import Closure
-
-        n = int(request.n_panels)
-        row = shm_transport.slot_view(segment, offset, (n + 1,), np.float64)
-        return SolvedSystem(
+    def _solution(request, gamma: np.ndarray,
+                  constant: float) -> PanelSolution:
+        """Rebuild a worker-solved request's :class:`PanelSolution`."""
+        return PanelSolution(
             airfoil=request.build_airfoil(), freestream=request.freestream(),
-            closure=Closure.KUTTA, gamma=np.array(row[:n]),
-            constant=float(row[n]),
+            closure=Closure.KUTTA, gamma=gamma, constant=constant,
         )
-
-    def _solve_parent_groups(self, groups: Dict, results: List,
-                             stage_hook) -> None:
-        """Parent-mode LU: one batched factorization per (m, dtype)
-        group across *all* shards, mirroring the inline path's
-        grouping so stack structure (and numerics) are identical."""
-        from repro.core.api import SolvedSystem
-        from repro.linalg import batched_lu_factor, batched_lu_solve
-        from repro.panel.assembly import Closure
-
-        for (n_panels, dtype), members in groups.items():
-            m = int(n_panels)
-            matrices = np.empty((len(members), m, m), dtype=dtype)
-            rhs = np.empty((len(members), m), dtype=dtype)
-            for row, (_, _, segment, offset) in enumerate(members):
-                matrices[row] = shm_transport.slot_view(segment, offset,
-                                                        (m, m), dtype)
-                rhs[row] = shm_transport.slot_view(
-                    segment, offset + m * m * dtype.itemsize, (m,), dtype
-                )
-            solve_started = time.monotonic()
-            try:
-                unknowns = batched_lu_solve(
-                    batched_lu_factor(matrices, overwrite=True), rhs
-                )
-            except ReproError as error:
-                for index, _, _, _ in members:
-                    results[index] = error
-                continue
-            finally:
-                if stage_hook is not None:
-                    stage_hook("solve", solve_started, time.monotonic(),
-                               len(members))
-            for (index, request, _, _), row in zip(members, unknowns):
-                gamma, constant = expand_kutta_row(row)
-                results[index] = SolvedSystem(
-                    airfoil=request.build_airfoil(),
-                    freestream=request.freestream(),
-                    closure=Closure.KUTTA, gamma=gamma, constant=constant,
-                )
 
     def _emit_stamps(self, anchored: List, n_requests: int,
                      stage_hook) -> None:
@@ -665,8 +534,8 @@ class ProcessBackend(ExecutionBackend):
         Each child stamp is re-emitted under ``<stage>_shard`` so
         traces and ``/metrics`` show where every worker spent its time;
         the envelope of the shard spans is emitted under the core stage
-        name, so ``assembly_seconds`` (and ``solve_seconds`` in worker
-        mode) keep measuring *wall* time — comparable across backends
+        name, so ``assembly_seconds`` and ``solve_seconds`` keep
+        measuring *wall* time — comparable across backends
         and consistent with the W/A/L/O identity.
         """
         if stage_hook is None:
@@ -692,7 +561,6 @@ class ProcessBackend(ExecutionBackend):
                 "name": self.name,
                 "procs": self.n_procs,
                 "alive_workers": alive,
-                "solve_in_worker": self.solve_in_worker,
                 "broken": self._broken,
                 "shards": self._shards_dispatched,
                 "sharded_requests": self._sharded_requests,
@@ -711,20 +579,14 @@ class ProcessBackend(ExecutionBackend):
 BACKEND_NAMES = ("inline", "process")
 
 
-def make_backend(name: str, *, n_procs: Optional[int] = None,
-                 solve_in_worker: Optional[bool] = None) -> ExecutionBackend:
+def make_backend(name: str, *,
+                 n_procs: Optional[int] = None) -> ExecutionBackend:
     """Construct a backend by name (``inline`` or ``process``)."""
     normalized = str(name).strip().lower()
     if normalized == "inline":
         return InlineBackend()
     if normalized == "process":
-        if solve_in_worker is None:
-            solve_in_worker = (
-                os.environ.get(SOLVE_ENV, "worker").strip().lower()
-                != "parent"
-            )
-        return ProcessBackend(n_procs=n_procs,
-                              solve_in_worker=solve_in_worker)
+        return ProcessBackend(n_procs=n_procs)
     raise ServeError(
         f"unknown execution backend {name!r}; "
         f"expected one of {', '.join(BACKEND_NAMES)}"

@@ -1,51 +1,24 @@
 """Shard protocol for the process-pool execution backend.
 
 A micro-batch handed to :class:`repro.parallel.ProcessBackend` is cut
-into contiguous *shards*, one per worker process.  Everything small
-(the :class:`~repro.core.api.AnalyzeRequest` objects, per-request
-outcomes, stage timings) crosses the process boundary as pickled
-:class:`ShardTask` / :class:`ShardReply` messages over a pipe; the
-*bulk* ``float64`` payload — stacked matrices and right-hand sides, or
-solved circulation rows — moves through a ``multiprocessing.shared_memory``
-segment whose layout both sides compute from this module, so the big
-arrays are written exactly once and never pickled.
+into contiguous *shards*, one per worker process.  Each child runs the
+full :func:`repro.core.api.solve_request_systems` path (assembly and
+batched LU) on its shard, and everything crosses the process boundary
+as pickled :class:`ShardTask` / :class:`ShardReply` messages over a
+pipe.  The bulk of a reply is one ``n_panels + 1`` row of ``float64``
+per request: the expanded circulation strengths followed by the
+boundary constant.
 
-Two shard modes exist (see :mod:`repro.parallel.pool`):
-
-* ``"worker"`` — the child assembles *and* solves its shard (the full
-  :func:`repro.core.api.solve_request_systems` path) and writes one
-  ``n_panels + 1`` row of ``float64`` per request: the expanded
-  circulation strengths followed by the boundary constant.
-* ``"parent"`` — the child only assembles; each request's slot holds
-  the closed ``(m, m)`` system matrix followed by its ``m`` right-hand
-  side values, in the request's own precision.  The parent stacks the
-  groups and runs the batched LU itself, preserving the inline path's
-  one-factorization-per-group structure.
-
-Both layouts are bit-faithful to the inline backend: the batched LU
+The reply is bit-faithful to the inline backend: the batched LU
 kernels are elementwise across the stack (each matrix is factored
-independently), widening ``float32`` results to ``float64`` is exact,
-and the Kutta expansion below mirrors
-:meth:`repro.panel.assembly.PanelSystem.expand_solution` — which is
-what makes response bytes identical across backends.
+independently), and widening ``float32`` results to ``float64`` is
+exact — which is what makes response bytes identical across backends.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
-
-#: Shard mode: the child assembles and solves (gamma rows cross back).
-MODE_WORKER = "worker"
-
-#: Shard mode: the child only assembles (matrices + rhs cross back).
-MODE_PARENT = "parent"
-
-#: Slot alignment in bytes; keeps every ``float64`` view aligned even
-#: after a single-precision slot of odd byte length.
-_ALIGN = 8
+from typing import List, Optional, Sequence, Tuple
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,14 +31,8 @@ class ShardTask:
         Monotonic dispatch sequence number (labels replies).
     shard_index:
         Position of this shard within the batch's shard list.
-    mode:
-        :data:`MODE_WORKER` or :data:`MODE_PARENT`.
     requests:
         The shard's :class:`~repro.core.api.AnalyzeRequest` objects.
-    shm_name:
-        Name of the parent-owned shared-memory segment to write into.
-    offsets:
-        Per-request byte offset of each slot within the segment.
     kernel:
         Assembly-kernel selection forwarded to the child (``None``
         defers to the child's ``REPRO_ASSEMBLY_KERNEL`` default) — the
@@ -75,10 +42,7 @@ class ShardTask:
 
     seq: int
     shard_index: int
-    mode: str
     requests: Tuple
-    shm_name: str
-    offsets: Tuple[int, ...]
     kernel: Optional[str] = None
 
 
@@ -86,15 +50,16 @@ class ShardTask:
 class ShardReply:
     """A worker's answer for one :class:`ShardTask`.
 
-    ``outcomes`` aligns with the task's requests: ``None`` marks a slot
-    whose payload landed in shared memory, an exception instance marks
-    a request that failed during assembly/solve (the same per-request
-    error convention :func:`~repro.core.api.evaluate_requests` uses).
-    ``error`` is a whole-shard failure (``outcomes`` is then ``None``).
-    ``stamps`` are ``(stage, rel_start, rel_end, count)`` tuples
-    relative to the child's task start, and ``elapsed`` is the child's
-    total task wall time — the parent re-anchors both on its own
-    monotonic clock for tracing.
+    ``outcomes`` aligns with the task's requests: a ``(gamma, constant)``
+    pair — the ``float64`` circulation row and the boundary constant —
+    for a solved request, or the exception instance that request raised
+    during assembly/solve (the same per-request error convention
+    :func:`~repro.core.api.evaluate_requests` uses).  ``error`` is a
+    whole-shard failure (``outcomes`` is then ``None``).  ``stamps`` are
+    ``(stage, rel_start, rel_end, count)`` tuples relative to the
+    child's task start, and ``elapsed`` is the child's total task wall
+    time — the parent re-anchors both on its own monotonic clock for
+    tracing.
     """
 
     seq: int
@@ -121,49 +86,6 @@ def plan_shards(n_items: int, n_shards: int) -> List[Tuple[int, int]]:
         bounds.append((start, stop))
         start = stop
     return bounds
-
-
-def _slot_bytes(request, mode: str) -> int:
-    """Byte size of one request's shared-memory slot (aligned)."""
-    n = int(request.n_panels)
-    if mode == MODE_WORKER:
-        raw = (n + 1) * 8  # float64 gamma row + boundary constant
-    else:
-        itemsize = np.dtype(request.precision.dtype).itemsize
-        raw = (n * n + n) * itemsize  # closed matrix + rhs, native dtype
-    return (raw + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-def plan_layout(requests: Sequence, mode: str) -> Tuple[Tuple[int, ...], int]:
-    """Per-request slot offsets and the total segment size in bytes.
-
-    The Kutta-closed system of an ``n``-panel request is ``n x n`` (see
-    :func:`repro.panel.assembly.assemble`), which is what lets the
-    parent size every slot without assembling anything.
-    """
-    offsets = []
-    total = 0
-    for request in requests:
-        offsets.append(total)
-        total += _slot_bytes(request, mode)
-    return tuple(offsets), max(total, _ALIGN)
-
-
-def expand_kutta_row(unknowns: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Recover ``(gamma, C)`` from one solved Kutta-closure row.
-
-    Mirrors :meth:`repro.panel.assembly.PanelSystem.expand_solution`
-    for :attr:`~repro.panel.assembly.Closure.KUTTA`: the eliminated
-    trailing-edge strength ``gamma_{n-1} = -gamma_0`` is reinstated and
-    the last unknown is the boundary constant.  Used by the parent-mode
-    solve, where the assembled :class:`PanelSystem` lives only in the
-    child that built it.
-    """
-    unknowns = np.asarray(unknowns)
-    gamma = np.empty(unknowns.shape[0], dtype=unknowns.dtype)
-    gamma[:-1] = unknowns[:-1]
-    gamma[-1] = -unknowns[0]
-    return gamma, float(unknowns[-1])
 
 
 def anchor_stamps(stamps: Sequence, elapsed: float,

@@ -21,10 +21,10 @@ import numpy as np
 from repro.errors import ScheduleError
 from repro.geometry.airfoil import Airfoil
 from repro.hardware.host import Workstation
-from repro.linalg.batched import batched_lu_factor, batched_lu_solve
 from repro.panel.assembly import Closure
 from repro.panel.freestream import Freestream
 from repro.panel.solution import PanelSolution
+from repro.panel.solver import solve_stack
 from repro.pipeline.engine import Timeline, simulate
 from repro.pipeline.metrics import HybridMetrics, evaluate
 from repro.pipeline.schedules import default_stages, hybrid
@@ -89,17 +89,8 @@ def execute_hybrid(airfoils: Sequence[Airfoil], workstation: Workstation,
         matrix_dim = assembly.matrices.shape[1]
         # "Transfer": in-process, the arrays simply change owner; the
         # timing model charges the link below.
-        factors = batched_lu_factor(assembly.matrices, overwrite=True)
-        unknowns = batched_lu_solve(factors, assembly.rhs)
-        for system, row in zip(assembly.systems, unknowns):
-            gamma, constant = system.expand_solution(row)
-            solutions.append(PanelSolution(
-                airfoil=system.airfoil,
-                freestream=freestream,
-                closure=system.closure,
-                gamma=np.asarray(gamma, dtype=np.float64),
-                constant=constant,
-            ))
+        solutions.extend(solve_stack(assembly.matrices, assembly.rhs,
+                                     assembly.systems, overwrite=True))
 
     # --- timing part: the same slicing priced by the kernel models ----
     # Note the schedule is built on the *matrix* dimension (n for the

@@ -1,9 +1,12 @@
 """Tests for the high-level API and the command-line interface."""
 
+import json
+
 import pytest
 
 from repro import analyze, optimize, simulate_hybrid
 from repro.cli import main
+from repro.core.api import AnalyzeRequest
 from repro.geometry import naca
 
 
@@ -27,6 +30,21 @@ class TestAnalyze:
     def test_summary_contents(self):
         summary = analyze("2412", alpha_degrees=4.0, n_panels=100).summary()
         assert "cl" in summary and "cd" in summary and "Re" in summary
+
+    def test_library_and_served_paths_are_bit_identical(self, capsys):
+        """``analyze`` (the library solver), ``AnalyzeRequest.run`` (the
+        serving path) and ``analyze --json`` share one batched LU, so
+        their numbers agree to the last bit."""
+        library = analyze("2412", 4.0)
+        served = AnalyzeRequest(airfoil="2412", alpha_degrees=4.0).run()
+        assert (library.solution.gamma.tobytes()
+                == served.solution.gamma.tobytes())
+        assert library.cl == served.cl
+        assert library.cd == served.cd
+        assert main(["analyze", "2412", "--alpha", "4", "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["cl"] == library.cl
+        assert record["cd"] == library.cd
 
     def test_naca_prefix_stripped(self):
         analysis = analyze("NACA 2412", alpha_degrees=0.0, reynolds=None,

@@ -34,12 +34,8 @@ from repro.parallel import (
     resolve_backend,
 )
 from repro.parallel.protocol import (
-    MODE_PARENT,
-    MODE_WORKER,
     anchor_stamps,
-    expand_kutta_row,
     merge_envelope,
-    plan_layout,
     plan_shards,
 )
 from repro.serve import AnalysisService
@@ -75,13 +71,6 @@ def worker_backend():
     backend.close()
 
 
-@pytest.fixture(scope="module")
-def parent_backend():
-    backend = make_backend("process", n_procs=2, solve_in_worker=False)
-    yield backend
-    backend.close()
-
-
 class TestShardPlanning:
     def test_balanced_contiguous_cover(self):
         bounds = plan_shards(10, 3)
@@ -93,37 +82,6 @@ class TestShardPlanning:
 
     def test_single_shard(self):
         assert plan_shards(5, 1) == [(0, 5)]
-
-    def test_layout_is_aligned_and_sized(self):
-        requests = [
-            AnalyzeRequest(airfoil="0012", n_panels=50),
-            AnalyzeRequest(airfoil="0012", n_panels=33, precision="single"),
-            AnalyzeRequest(airfoil="0012", n_panels=64),
-        ]
-        for mode in (MODE_WORKER, MODE_PARENT):
-            offsets, total = plan_layout(requests, mode)
-            assert all(offset % 8 == 0 for offset in offsets)
-            assert offsets[0] == 0 and total > offsets[-1]
-        worker_offsets, _ = plan_layout(requests, MODE_WORKER)
-        # Worker mode ships (n+1) float64 per request.
-        assert worker_offsets[1] - worker_offsets[0] == 51 * 8
-        parent_offsets, _ = plan_layout(requests, MODE_PARENT)
-        # Parent mode ships the (n, n) matrix plus n rhs values in the
-        # request's own precision, rounded up to 8-byte alignment.
-        assert parent_offsets[1] - parent_offsets[0] == (50 * 50 + 50) * 8
-
-    def test_expand_kutta_row_matches_panel_system(self):
-        from repro.panel.assembly import assemble
-
-        request = AnalyzeRequest(airfoil="2412", alpha_degrees=3.0,
-                                 n_panels=40)
-        system = assemble(request.build_airfoil(), request.freestream(),
-                          dtype=request.precision.dtype)
-        unknowns = np.linalg.solve(system.matrix, system.rhs)
-        gamma_ref, constant_ref = system.expand_solution(unknowns)
-        gamma, constant = expand_kutta_row(unknowns)
-        np.testing.assert_array_equal(gamma, np.asarray(gamma_ref))
-        assert constant == constant_ref
 
     def test_anchor_and_envelope(self):
         stamps = [("assembly", 0.1, 0.4, 3), ("solve", 0.4, 0.5, 3)]
@@ -165,6 +123,33 @@ class TestBackendResolution:
         with pytest.raises(ServeError, match="n_procs"):
             ProcessBackend(n_procs=0)
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
+    def test_bad_procs_env_is_a_typed_error(self, monkeypatch, capsys, raw):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_EXEC_BACKEND", "process")
+        monkeypatch.setenv("REPRO_EXEC_PROCS", raw)
+        close_default_backend()
+        try:
+            with pytest.raises(ServeError, match="REPRO_EXEC_PROCS"):
+                default_backend()
+            assert main(["analyze", "2412", "--panels", "40"]) == 1
+            assert capsys.readouterr().err.startswith(
+                "error: REPRO_EXEC_PROCS must be a positive integer")
+        finally:
+            close_default_backend()
+
+    def test_one_shard_mode_no_knobs(self, worker_backend):
+        """Workers always solve their shards: the constructor takes
+        only a worker count and /metrics reports no mode field."""
+        import inspect
+
+        params = inspect.signature(ProcessBackend.__init__).parameters
+        assert list(params) == ["self", "n_procs"]
+        with pytest.raises(TypeError):
+            make_backend("process", n_procs=2, solve_in_worker=False)
+        assert "solve_in_worker" not in worker_backend.stats()
+
 
 class TestByteIdentity:
     def test_worker_mode_matches_inline(self, worker_backend):
@@ -173,13 +158,6 @@ class TestByteIdentity:
         outcomes = evaluate_requests(requests, backend=worker_backend)
         assert serialized(requests, outcomes) == baseline
         assert isinstance(outcomes[3], GeometryError)
-
-    def test_parent_mode_matches_inline(self, parent_backend):
-        requests = requests_mixed()
-        baseline = serialized(requests, evaluate_requests(requests))
-        assert serialized(
-            requests, evaluate_requests(requests, backend=parent_backend)
-        ) == baseline
 
     def test_single_request_single_shard(self, worker_backend):
         request = AnalyzeRequest(airfoil="2412", alpha_degrees=2.0,
@@ -194,20 +172,31 @@ class TestByteIdentity:
 
     def test_gamma_bits_match_exactly(self, worker_backend):
         """Not just serialized equality: the float64 circulation rows
-        coming back through shared memory are bit-for-bit the inline
+        coming back over the worker pipes are bit-for-bit the inline
         backend's (float32 widening is exact; no arithmetic differs)."""
-        requests = [
+        same_size = [
             AnalyzeRequest(airfoil="2412", alpha_degrees=a, n_panels=64,
                            precision=precision, reynolds=None)
             for a in (0.0, 3.0) for precision in ("single", "double")
         ]
-        inline = solve_request_systems(requests)
-        sharded = worker_backend.solve(requests)
-        for ours, theirs in zip(inline, sharded):
-            lhs = np.asarray(ours.gamma, dtype=np.float64)
-            rhs = np.asarray(theirs.gamma, dtype=np.float64)
-            assert lhs.tobytes() == rhs.tobytes()
-            assert ours.constant == theirs.constant
+        # Five requests on two workers split 3/2, and each shard holds
+        # more than one (size, dtype) group.
+        uneven = [
+            AnalyzeRequest(airfoil="4412", alpha_degrees=float(index),
+                           n_panels=n_panels, precision=precision,
+                           reynolds=None)
+            for index, (n_panels, precision) in enumerate(
+                [(48, "double"), (72, "double"), (48, "single"),
+                 (96, "double"), (72, "single")])
+        ]
+        for requests in (same_size, uneven):
+            inline = solve_request_systems(requests)
+            sharded = worker_backend.solve(requests)
+            for ours, theirs in zip(inline, sharded):
+                lhs = np.asarray(ours.gamma, dtype=np.float64)
+                rhs = np.asarray(theirs.gamma, dtype=np.float64)
+                assert lhs.tobytes() == rhs.tobytes()
+                assert ours.constant == theirs.constant
 
     def test_stage_hook_emits_shard_and_envelope_spans(self, worker_backend):
         requests = requests_mixed()
