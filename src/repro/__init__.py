@@ -19,7 +19,7 @@ Subpackages
 ``repro.geometry``
     Airfoils, NACA generators, B-splines.
 ``repro.linalg``
-    From-scratch (batched) LU factorization.
+    Batched LAPACK solves, with a from-scratch batched LU as their oracle.
 ``repro.panel``
     The vortex panel method (the paper's inner solver).
 ``repro.viscous``
@@ -35,17 +35,29 @@ Subpackages
     One-call regeneration of every table and figure.
 ``repro.validation``
     Analytic references (cylinder, Joukowski, thin-airfoil theory).
+
+Importing ``repro`` pins BLAS to one thread (unless the environment
+already says otherwise) before numpy is loaded: a multi-threaded
+OpenBLAS wakes its sleeping threads so slowly that a 201 x 201 solve
+after an idle gap costs ~125 ms instead of ~0.5 ms.  The pin only takes
+effect when ``repro`` is imported before numpy.
 """
 
-from repro.core.api import (
+import os
+
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+del _variable
+
+from repro.core.api import (  # noqa: E402 - after the BLAS pin
     AirfoilAnalysis,
     HybridExperiment,
     analyze,
     optimize,
     simulate_hybrid,
 )
-from repro.errors import ReproError
-from repro.precision import Precision
+from repro.errors import ReproError  # noqa: E402
+from repro.precision import Precision  # noqa: E402
 
 __version__ = "1.0.0"
 

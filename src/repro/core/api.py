@@ -11,7 +11,7 @@ Three entry points mirror the three things the paper does:
 
 The serving wire format also lives here: :class:`AnalyzeRequest`
 describes one evaluation, :func:`evaluate_requests` runs a stack of
-them through the batched assembly/LU path, and
+them through the batched assembly/solve path, and
 :func:`serialize_analysis` / :func:`canonical_json` render the result.
 The CLI's ``--json`` output and the :mod:`repro.serve` HTTP responses
 share all three, so both produce byte-identical records for identical
@@ -37,7 +37,9 @@ from repro.optimize.fitness import FitnessEvaluator
 from repro.optimize.ga import GAConfig, GeneticOptimizer
 from repro.optimize.genome import GenomeLayout
 from repro.optimize.history import OptimizationHistory
-from repro.linalg import batched_lu_factor, batched_lu_solve
+from repro.linalg import batched_solve
+# Not called here: perfbench's tracing launcher wraps these names in this module.
+from repro.linalg import batched_lu_factor, batched_lu_solve  # noqa: F401
 from repro.panel.assembly import assemble
 from repro.panel.freestream import Freestream
 from repro.panel.solution import PanelSolution
@@ -233,11 +235,11 @@ class AnalyzeRequest:
     accepted for in-process use).  ``reynolds=None`` skips the viscous
     pass.
 
-    :meth:`run` evaluates through the *batched* assembly/LU path (a
+    :meth:`run` evaluates through the *batched* assembly/solve path (a
     stack of one), so an offline CLI evaluation and a served one
-    compute bit-identical numbers — the batched kernels are
-    elementwise across the stack, making each result independent of
-    what else shares its micro-batch.
+    compute bit-identical numbers — LAPACK solves each matrix of the
+    stack on its own, making each result independent of what else
+    shares its micro-batch.
     """
 
     airfoil: Union[str, Airfoil]
@@ -364,21 +366,21 @@ class AnalyzeRequest:
 
 def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
                           stage_hook=None, kernel=None) -> List:
-    """Assemble and LU-solve many requests (the backend work unit).
+    """Assemble and solve many requests (the backend work unit).
 
     Requests are grouped by system size and dtype; each group is
     assembled into one ``(batch, m, m)`` stack and solved with
-    :func:`repro.linalg.batched_lu_factor` — the code path the paper's
-    hardware timings describe.  This function is the contract an
-    :class:`repro.parallel.ExecutionBackend` implements: the inline
-    backend calls it directly, and the process backend runs it inside
-    worker processes, shard by shard.  The
-    batched kernels are elementwise across the stack, which is why
-    shard-wise solving produces bit-identical numbers.
+    :func:`repro.linalg.batched_solve` (LAPACK ``gesv`` through numpy,
+    the same kind of vendor LU the paper's CPU solve used).  This
+    function is the contract an :class:`repro.parallel.ExecutionBackend`
+    implements: the inline backend calls it directly, and the process
+    backend runs it inside worker processes, shard by shard.  LAPACK
+    solves each matrix of the stack on its own, which is why shard-wise
+    solving produces bit-identical numbers.
 
     ``stage_hook`` receives ``(stage, start, end, count)`` stamps:
     ``"assembly"`` once for the whole assemble loop and ``"solve"`` per
-    batched LU call.  ``kernel`` selects the influence-matrix
+    batched solve call.  ``kernel`` selects the influence-matrix
     implementation (``reference`` / ``fused`` / ``native``; ``None``
     defers to ``REPRO_ASSEMBLY_KERNEL`` — see ``docs/kernels.md``).
 
@@ -409,7 +411,7 @@ def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
         rhs = np.stack([system.rhs for _, system in members])
         solve_started = time.monotonic()
         try:
-            unknowns = batched_lu_solve(batched_lu_factor(matrices, overwrite=True), rhs)
+            unknowns = batched_solve(matrices, rhs)
         except ReproError as error:
             for index, _ in members:
                 results[index] = error
@@ -423,14 +425,14 @@ def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
 
 def evaluate_requests(requests: Sequence[AnalyzeRequest], *,
                       stage_hook=None, backend=None, kernel=None) -> List:
-    """Evaluate many requests through the batched assembly/LU path.
+    """Evaluate many requests through the batched assembly/solve path.
 
-    The assembly + batched LU runs on an execution backend (see
+    The assembly + batched solve runs on an execution backend (see
     :mod:`repro.parallel`): ``backend=None`` uses the process-wide
     default — inline unless ``REPRO_EXEC_BACKEND=process`` — and an
     :class:`~repro.parallel.ExecutionBackend` instance is used as
-    given.  Responses are byte-identical across backends: the batched
-    kernels are elementwise across the stack, so sharding a batch over
+    given.  Responses are byte-identical across backends: each matrix
+    of a stack is solved on its own, so sharding a batch over
     worker processes changes where the arithmetic happens, never its
     result.  The viscous pass and response shaping always run in the
     calling thread.

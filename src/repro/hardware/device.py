@@ -102,7 +102,6 @@ class SimulatedDevice:
         matrices, rhs = assembly.matrices, assembly.rhs
         if matrices is None or rhs is None or assembly.systems is None:
             raise ValueError("run_solve needs a functional AssemblyOutput")
-        # Never in place: callers may still hold ``assembly.matrices``.
         solutions = solve_stack(matrices, rhs, assembly.systems)
         n = matrices.shape[1]
         cost = self.model.solve(len(solutions), n)

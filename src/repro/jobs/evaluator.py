@@ -6,20 +6,21 @@ time.  :class:`BatchedGenerationEvaluator` is the drop-in replacement
 (:attr:`repro.optimize.ga.GeneticOptimizer.evaluate_all`) that stacks
 every feasible genome of a generation into one batch and routes it
 through the shared backend path in :mod:`repro.core.api` — the same
-stacked-assembly + batched-LU code the HTTP ``/analyze`` traffic uses,
+stacked-assembly + batched-solve code the HTTP ``/analyze`` traffic uses,
 including the ``REPRO_EXEC_BACKEND=process`` worker pool, whose
 workers solve their shards and send each circulation row back over a
 pipe.
 
-**Bit-for-bit parity.**  The batched LU kernels are elementwise across
-the stack, and the serial path evaluates through
+**Bit-for-bit parity.**  LAPACK solves each matrix of a stack on its
+own, and the serial path evaluates through
 :meth:`PanelSolver.solve_batch` as a stack of one, so a genome scored
 here produces *exactly* the bytes it would produce serially:
 
 * pre-solve feasibility/geometry failures come from the shared
   :meth:`FitnessEvaluator.build_airfoil`;
-* the solve itself is ``assemble`` + batched LU in both paths, and a
-  matrix's factorization does not depend on its stackmates;
+* the solve itself is ``assemble`` + :func:`repro.linalg.batched_solve`
+  in both paths, and a matrix's solution does not depend on its
+  stackmates;
 * post-solve classification (lift sign, viscous drag, ratios) is the
   shared :meth:`FitnessEvaluator.classify_solution`.
 

@@ -1,9 +1,11 @@
-"""Dense linear algebra substrate: LU factorization, batched solves.
+"""Dense linear algebra substrate: batched solves, LU factorization.
 
-Everything is implemented from scratch on top of NumPy array
-operations; no ``numpy.linalg`` or SciPy solver is called by the panel
-method, mirroring the paper's reliance on its own MKL/MAGMA kernels.
-The test suite cross-checks these routines against ``numpy.linalg``.
+:func:`batched_solve` is the one production solve every panel system
+goes through: LAPACK ``gesv`` as shipped inside numpy
+(``np.linalg.solve``), the counterpart of the vendor MKL/MAGMA kernels
+the paper calls.  The from-scratch LU kernels (:func:`lu_factor`,
+:func:`batched_lu_factor` and their solves) are its test oracle, and
+:func:`refine_solve` builds float32 iterative refinement on them.
 """
 
 from repro.linalg.analysis import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import LinalgError
-from repro.linalg.lu import LUFactorization, lu_factor, lu_solve
+from repro.linalg.batched import batched_solve
 
 
 def one_norm(matrix: np.ndarray) -> float:
@@ -29,34 +29,37 @@ def frobenius_norm(matrix: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(matrix) ** 2)))
 
 
-def condition_estimate_1norm(matrix: np.ndarray, *, factorization: LUFactorization = None) -> float:
+def condition_estimate_1norm(matrix: np.ndarray) -> float:
     """Estimate the 1-norm condition number via Hager's algorithm.
 
-    Runs a few power-like iterations on ``A^{-1}`` (using the LU
-    factors, never forming the inverse), the same approach LAPACK's
-    ``gecon`` uses.  Returns ``inf`` for singular input.
+    Runs a few power-like iterations on ``A^{-1}`` (through solves,
+    never forming the inverse), the same approach LAPACK's ``gecon``
+    uses.  Returns ``inf`` for singular input.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise LinalgError(f"expected a square matrix, got shape {a.shape}")
-    try:
-        factors = factorization or lu_factor(a)
-    except LinalgError:
-        return float("inf")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return batched_solve(a[None], rhs[None])[0]
+
     n = a.shape[0]
     x = np.full(n, 1.0 / n)
     estimate = 0.0
-    for _ in range(5):
-        y = lu_solve(factors, x)
-        estimate = float(np.sum(np.abs(y)))
-        sign = np.sign(y)
-        sign[sign == 0.0] = 1.0
-        z = lu_solve(factors, sign)  # A is not symmetric, but the estimate
-        j = int(np.argmax(np.abs(z)))  # remains a valid lower bound
-        if np.abs(z[j]) <= z @ x:
-            break
-        x = np.zeros(n)
-        x[j] = 1.0
+    try:
+        for _ in range(5):
+            y = solve(x)
+            estimate = float(np.sum(np.abs(y)))
+            sign = np.sign(y)
+            sign[sign == 0.0] = 1.0
+            z = solve(sign)  # A is not symmetric, but the estimate
+            j = int(np.argmax(np.abs(z)))  # remains a valid lower bound
+            if np.abs(z[j]) <= z @ x:
+                break
+            x = np.zeros(n)
+            x[j] = 1.0
+    except LinalgError:
+        return float("inf")
     return one_norm(a) * estimate
 
 

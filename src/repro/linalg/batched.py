@@ -1,10 +1,15 @@
-"""Batched LU factorization and solve over stacks of small matrices.
+"""Batched solves over stacks of small matrices.
 
 The paper's workload is thousands of independent ~200 x 200 systems —
 exactly the regime where batched kernels (MKL's and MAGMA's batched
-``getrf``) matter.  The implementation here vectorizes across the batch
-dimension: every elimination step updates all matrices in the stack at
-once, so the Python-level loop count is O(n), not O(batch * n).
+``getrf``) matter.  :func:`batched_solve` is the one production solve:
+LAPACK ``gesv`` through ``np.linalg.solve``, matrix by matrix.
+
+:func:`batched_lu_factor` / :func:`batched_lu_solve` are the
+from-scratch oracle it is tested against.  They vectorize across the
+batch dimension: every elimination step updates all matrices in the
+stack at once, so the Python-level loop count is O(n), not
+O(batch * n).
 """
 
 from __future__ import annotations
@@ -44,7 +49,45 @@ class BatchedLU:
         return self.lu.shape[1]
 
 
-def batched_lu_factor(matrices: np.ndarray, *, overwrite: bool = False) -> BatchedLU:
+def _float_stack(matrices: np.ndarray) -> np.ndarray:
+    """*matrices* as a floating ``(batch, n, n)`` stack (ints -> float64)."""
+    a = np.asarray(matrices)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise LinalgError(f"expected a (batch, n, n) stack, got shape {a.shape}")
+    if not np.issubdtype(a.dtype, np.floating):
+        a = a.astype(np.float64)  # documented int -> float64 promotion
+    return a
+
+
+def _rhs_columns(rhs: np.ndarray, dtype, batch: int, n: int):
+    """``(rhs as (batch, n, k) in *dtype*, whether it was (batch, n))``.
+
+    A float RHS must already have *dtype*: silently casting a float64
+    RHS against a float32 stack (or the reverse) would absorb exactly
+    the precision mismatch the dtype-grouped assembly path is designed
+    to surface.  Integer right-hand sides are promoted.
+    """
+    b = np.asarray(rhs)
+    if np.issubdtype(b.dtype, np.floating):
+        if b.dtype != dtype:
+            raise LinalgError(
+                f"rhs dtype {b.dtype} does not match LU dtype {dtype}; "
+                f"mixed-precision solves hide precision bugs — cast "
+                f"explicitly if the widening is intended"
+            )
+    else:
+        b = b.astype(dtype)  # documented int promotion
+    vector_input = b.ndim == 2
+    if vector_input:
+        b = b[:, :, None]
+    if b.ndim != 3 or b.shape[:2] != (batch, n):
+        raise LinalgError(
+            f"rhs shape {np.shape(rhs)} does not match batch {batch} x n {n}"
+        )
+    return b, vector_input
+
+
+def batched_lu_factor(matrices: np.ndarray) -> BatchedLU:
     """Factor every matrix in a ``(batch, n, n)`` stack.
 
     Floating stacks are factored in their own dtype (float32 stays
@@ -55,11 +98,7 @@ def batched_lu_factor(matrices: np.ndarray, *, overwrite: bool = False) -> Batch
     Raises :class:`LinalgError` naming the first singular matrix when a
     zero pivot is met.
     """
-    a = np.array(matrices, copy=not overwrite)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise LinalgError(f"expected a (batch, n, n) stack, got shape {a.shape}")
-    if not np.issubdtype(a.dtype, np.floating):
-        a = a.astype(np.float64)  # documented int -> float64 promotion
+    a = np.array(_float_stack(matrices))  # a copy: factored in place
     batch, n, _ = a.shape
     pivots = np.tile(np.arange(n), (batch, 1))
     rows = np.arange(batch)
@@ -103,23 +142,7 @@ def batched_lu_solve(factors: BatchedLU, rhs: np.ndarray) -> np.ndarray:
     convenience as :func:`batched_lu_factor`'s int promotion.
     """
     lu = factors.lu
-    b = np.asarray(rhs)
-    if np.issubdtype(b.dtype, np.floating):
-        if b.dtype != lu.dtype:
-            raise LinalgError(
-                f"rhs dtype {b.dtype} does not match LU dtype {lu.dtype}; "
-                f"mixed-precision solves hide precision bugs — cast "
-                f"explicitly if the widening is intended"
-            )
-    else:
-        b = b.astype(lu.dtype)  # documented int promotion
-    vector_input = b.ndim == 2
-    if vector_input:
-        b = b[:, :, None]
-    if b.shape[:2] != (factors.batch, factors.n):
-        raise LinalgError(
-            f"rhs shape {rhs.shape} does not match batch {factors.batch} x n {factors.n}"
-        )
+    b, vector_input = _rhs_columns(rhs, lu.dtype, factors.batch, factors.n)
     batch_index = np.arange(factors.batch)[:, None]
     x = b[batch_index, factors.pivots].copy()
     n = factors.n
@@ -133,8 +156,33 @@ def batched_lu_solve(factors: BatchedLU, rhs: np.ndarray) -> np.ndarray:
 
 
 def batched_solve(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Factor and solve a whole stack in one call."""
-    return batched_lu_solve(batched_lu_factor(matrices), rhs)
+    """Solve every system of a ``(batch, n, n)`` stack with LAPACK ``gesv``.
+
+    This is the production solve: ``np.linalg.solve``, the LAPACK
+    shipped inside numpy, factors and substitutes each matrix on its
+    own, so a system's solution does not depend on its stackmates.
+    :func:`batched_lu_factor` + :func:`batched_lu_solve` are its oracle.
+
+    The contract is theirs: a float32 stack is solved in float32, an
+    integer stack is promoted to float64, a float RHS must share the
+    stack's dtype (:class:`LinalgError` otherwise), ``rhs`` is
+    ``(batch, n)`` or ``(batch, n, k)``, and a singular member raises
+    :class:`LinalgError` naming ``matrix <i>``.
+    """
+    a = _float_stack(matrices)
+    b, vector_input = _rhs_columns(rhs, a.dtype, a.shape[0], a.shape[1])
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as error:
+        for index in range(a.shape[0]):  # LAPACK does not say which one
+            try:
+                np.linalg.solve(a[index], b[index])
+            except np.linalg.LinAlgError:
+                raise LinalgError(
+                    f"matrix {index} in the batch is singular"
+                ) from None
+        raise LinalgError(f"batched solve failed: {error}") from error
+    return x[:, :, 0] if vector_input else x
 
 
 def batched_flops(batch: int, n: int, n_rhs: int = 1) -> int:

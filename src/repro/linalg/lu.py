@@ -3,7 +3,9 @@
 The paper's linear solves are ``dgetrf``/``dgetrs`` calls on batches of
 small dense matrices (MKL on the CPU and Xeon Phi, MAGMA on the GPU).
 This module provides the single-matrix reference implementation; the
-batched variants live in :mod:`repro.linalg.batched`.
+batched variants live in :mod:`repro.linalg.batched`.  Production
+solves go through LAPACK (:func:`repro.linalg.batched_solve`); these
+kernels are its oracle.
 """
 
 from __future__ import annotations

@@ -116,8 +116,8 @@ class FitnessEvaluator:
         """Score one genome, returning the full record.
 
         The solve runs through :meth:`PanelSolver.solve_batch` as a
-        stack of one: the batched LU kernels are elementwise across the
-        stack, so this produces the same bits as a genome evaluated in
+        stack of one: LAPACK solves each matrix of a stack on its own,
+        so this produces the same bits as a genome evaluated in
         the middle of a full-generation batch — the invariant the jobs
         subsystem's batched evaluator relies on.
         """

@@ -1,12 +1,12 @@
 """High-level panel-method solver.
 
-Ties together assembly (:mod:`repro.panel.assembly`) and the in-house
-batched LU kernels (:mod:`repro.linalg`) and returns a
+Ties together assembly (:mod:`repro.panel.assembly`) and the batched
+LAPACK solve (:func:`repro.linalg.batched_solve`) and returns a
 :class:`~repro.panel.solution.PanelSolution`.  This is the "inner
 solver" the paper's genetic optimizer calls thousands of times.
 
-:func:`solve_stack` is the library's one batched-LU loop over an
-assembled stack: :class:`PanelSolver`, the simulated devices of
+:func:`solve_stack` is the library's one solve loop over an assembled
+stack: :class:`PanelSolver`, the simulated devices of
 :mod:`repro.hardware.device` and the functional hybrid executor all
 use it.  (The serving path keeps its own grouped loop in
 :mod:`repro.core.api`.)
@@ -20,7 +20,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.geometry.airfoil import Airfoil
-from repro.linalg import batched_lu_factor, batched_lu_solve
+from repro.linalg import batched_solve
 from repro.panel.assembly import Closure, PanelSystem, assemble_batch
 from repro.panel.freestream import Freestream
 from repro.panel.solution import PanelSolution
@@ -67,7 +67,7 @@ class PanelSolver:
         matrices, rhs, systems = assemble_batch(
             airfoils, freestream, closure=self.closure, dtype=self.precision.dtype
         )
-        return solve_stack(matrices, rhs, systems, overwrite=True)
+        return solve_stack(matrices, rhs, systems)
 
 
 def solution_from_unknowns(system: PanelSystem, unknowns) -> PanelSolution:
@@ -88,20 +88,15 @@ def solution_from_unknowns(system: PanelSystem, unknowns) -> PanelSolution:
 
 
 def solve_stack(matrices: np.ndarray, rhs: np.ndarray,
-                systems: Sequence[PanelSystem], *,
-                overwrite: bool = False) -> List[PanelSolution]:
-    """Batched-LU solve an assembled stack; one solution per system.
+                systems: Sequence[PanelSystem]) -> List[PanelSolution]:
+    """Solve an assembled stack; one solution per system.
 
     ``matrices``/``rhs``/``systems`` are what
-    :func:`~repro.panel.assembly.assemble_batch` returns.  The batched
-    kernels factor each matrix independently, so a system's solution
-    does not depend on its stackmates.  ``overwrite=True`` lets the
-    factorization reuse *matrices* in place; leave it off when a caller
-    may still hold the stack.
+    :func:`~repro.panel.assembly.assemble_batch` returns.  LAPACK
+    factors each matrix independently, so a system's solution does not
+    depend on its stackmates, and *matrices* is left untouched.
     """
-    unknowns = batched_lu_solve(
-        batched_lu_factor(matrices, overwrite=overwrite), rhs
-    )
+    unknowns = batched_solve(matrices, rhs)
     return [solution_from_unknowns(system, row)
             for system, row in zip(systems, unknowns)]
 

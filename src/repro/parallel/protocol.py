@@ -9,9 +9,8 @@ pipe.  The bulk of a reply is one ``n_panels + 1`` row of ``float64``
 per request: the expanded circulation strengths followed by the
 boundary constant.
 
-The reply is bit-faithful to the inline backend: the batched LU
-kernels are elementwise across the stack (each matrix is factored
-independently), and widening ``float32`` results to ``float64`` is
+The reply is bit-faithful to the inline backend: LAPACK factors each
+matrix of the stack independently, and widening ``float32`` results to ``float64`` is
 exact — which is what makes response bytes identical across backends.
 """
 

@@ -90,7 +90,7 @@ def execute_hybrid(airfoils: Sequence[Airfoil], workstation: Workstation,
         # "Transfer": in-process, the arrays simply change owner; the
         # timing model charges the link below.
         solutions.extend(solve_stack(assembly.matrices, assembly.rhs,
-                                     assembly.systems, overwrite=True))
+                                     assembly.systems))
 
     # --- timing part: the same slicing priced by the kernel models ----
     # Note the schedule is built on the *matrix* dimension (n for the

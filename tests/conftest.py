@@ -1,5 +1,8 @@
 """Shared fixtures for the repro test suite."""
 
+# First, so that repro's one-thread BLAS pin is set before numpy loads.
+import repro  # noqa: F401
+
 import numpy as np
 import pytest
 

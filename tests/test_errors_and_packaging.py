@@ -1,5 +1,11 @@
 """Tests for the exception hierarchy and package-level surface."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -89,3 +95,63 @@ class TestPackageSurface:
         out = capsys.readouterr().out
         assert out.startswith("# EXPERIMENTS")
         assert "Table 3" in out and "headline" in out.lower()
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS")
+
+#: Imports repro in a fresh interpreter, recording the value of
+#: OPENBLAS_NUM_THREADS at the moment numpy is first imported.
+PIN_PROBE = """
+import json, os, sys
+
+assert "numpy" not in sys.modules
+seen = {}
+
+
+class NumpyImportSpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and "numpy" not in seen:
+            seen["numpy"] = os.environ.get("OPENBLAS_NUM_THREADS")
+        return None
+
+
+sys.meta_path.insert(0, NumpyImportSpy())
+import repro  # noqa: E402,F401
+
+print(json.dumps({
+    "at_numpy_import": seen.get("numpy", "numpy never imported"),
+    "env": {name: os.environ.get(name) for name in %r},
+}))
+""" % (BLAS_THREAD_VARIABLES,)
+
+
+def _probe_blas_pin(**preset):
+    env = {name: value for name, value in os.environ.items()
+           if name not in BLAS_THREAD_VARIABLES}
+    env.update(preset)
+    env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    completed = subprocess.run(
+        [sys.executable, "-c", PIN_PROBE], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    return json.loads(completed.stdout)
+
+
+class TestBlasPin:
+    """``import repro`` pins BLAS to one thread before numpy loads.
+
+    A multi-threaded OpenBLAS wakes its idle threads slowly, so a served
+    solve after an idle gap would cost ~100x its warm time.
+    """
+
+    def test_import_pins_all_three_before_numpy(self):
+        probe = _probe_blas_pin()
+        assert probe["env"] == dict.fromkeys(BLAS_THREAD_VARIABLES, "1")
+        assert probe["at_numpy_import"] == "1"
+
+    def test_preset_value_is_kept(self):
+        probe = _probe_blas_pin(OPENBLAS_NUM_THREADS="3")
+        assert probe["env"]["OPENBLAS_NUM_THREADS"] == "3"
+        assert probe["at_numpy_import"] == "3"
+        assert probe["env"]["OMP_NUM_THREADS"] == "1"

@@ -1,4 +1,4 @@
-"""Tests for the from-scratch LU kernels against numpy.linalg."""
+"""Tests for the LU kernels: the from-scratch oracle and the LAPACK solve."""
 
 import numpy as np
 import pytest
@@ -139,6 +139,12 @@ class TestBatched:
         b = rng.standard_normal(9)
         batched = batched_solve(a[None], b[None])[0]
         assert batched == pytest.approx(solve(a, b), abs=1e-12)
+        # Each system is solved on its own: the same bytes alone and
+        # inside a stack of five.
+        stack = np.stack([random_spd_free_matrix(rng, 9) for _ in range(5)])
+        stack_rhs = rng.standard_normal((5, 9))
+        stack[3], stack_rhs[3] = a, b
+        assert batched_solve(stack, stack_rhs)[3].tobytes() == batched.tobytes()
 
     def test_multiple_rhs(self, rng):
         matrices = rng.standard_normal((3, 6, 6)) + 6 * np.eye(6)
@@ -158,15 +164,23 @@ class TestBatched:
         result = batched_solve(matrices, rhs)
         assert result == pytest.approx(np.array([[2.0, 1.0], [1.0, 2.0]]))
 
-    def test_singular_member_identified(self, rng):
+    @pytest.mark.parametrize("factor_or_solve", [
+        batched_lu_factor,
+        lambda matrices: batched_solve(matrices, np.ones(matrices.shape[:2])),
+    ], ids=["batched_lu_factor", "batched_solve"])
+    def test_singular_member_identified(self, rng, factor_or_solve):
         matrices = rng.standard_normal((3, 4, 4)) + 4 * np.eye(4)
         matrices[1] = 0.0
         with pytest.raises(LinalgError, match="matrix 1"):
-            batched_lu_factor(matrices)
+            factor_or_solve(matrices)
 
     def test_bad_shapes(self):
         with pytest.raises(LinalgError, match="stack"):
             batched_lu_factor(np.ones((3, 4, 5)))
+        with pytest.raises(LinalgError, match="stack"):
+            batched_solve(np.ones((3, 4, 5)), np.ones((3, 4)))
+        with pytest.raises(LinalgError, match="rhs shape"):
+            batched_solve(np.eye(3)[None], np.ones((1, 4)))
 
     def test_rhs_mismatch(self, rng):
         factors = batched_lu_factor(rng.standard_normal((2, 3, 3)) + 3 * np.eye(3))
@@ -183,6 +197,11 @@ class TestBatched:
             for m, v in zip(matrices, rhs)
         ])
         assert result == pytest.approx(expected, abs=1e-3)
+        # Against the from-scratch oracle in its own float32: a few ulps
+        # of the solution's scale.
+        oracle = batched_lu_solve(batched_lu_factor(matrices), rhs)
+        scale = np.abs(oracle).max()
+        assert np.abs(result - oracle).max() <= 16 * np.finfo(np.float32).eps * scale
 
     def test_mixed_precision_rhs_rejected(self, rng):
         # Regression: a float64 RHS against float32 factors used to be
@@ -192,6 +211,8 @@ class TestBatched:
         factors = batched_lu_factor(matrices)
         with pytest.raises(LinalgError, match="does not match LU dtype"):
             batched_lu_solve(factors, rng.standard_normal((2, 5)))
+        with pytest.raises(LinalgError, match="does not match LU dtype"):
+            batched_solve(matrices, rng.standard_normal((2, 5)))
 
     def test_mixed_precision_rhs_rejected_other_direction(self, rng):
         matrices = rng.standard_normal((2, 5, 5)) + 5 * np.eye(5)
@@ -205,6 +226,9 @@ class TestBatched:
         matrices = np.array([[[2, 0], [0, 2]], [[3, 0], [0, 3]]])
         factors = batched_lu_factor(matrices)
         assert factors.lu.dtype == np.float64
+        result = batched_solve(matrices, np.array([[2, 4], [3, 9]]))
+        assert result.dtype == np.float64
+        assert result.tolist() == [[1.0, 2.0], [1.0, 3.0]]
 
     def test_integer_rhs_still_promotes_to_factor_dtype(self, rng):
         for dtype in (np.float32, np.float64):
