@@ -3,10 +3,10 @@
 Two sections, one JSON artifact (``BENCH_jobs.json``):
 
 * **Generation evaluation** — the same GA population evaluated by the
-  serial per-genome loop (one ``lu_factor``/``lu_solve`` pair each)
-  and by :class:`~repro.jobs.BatchedGenerationEvaluator`, which stacks
-  every feasible candidate of the generation into one batched LU
-  through the shared request path.  This is the paper's argument
+  serial per-genome loop (:meth:`FitnessEvaluator.evaluate`, a stack of
+  one each) and by :meth:`FitnessEvaluator.evaluate_population`, which
+  stacks every feasible candidate of the generation into one batched
+  solve through the shared request path.  This is the paper's argument
   applied to the optimizer's inner loop: the GA offers a naturally
   batched workload (population evaluation), and the batched kernels
   collapse it into a handful of stacked solves.  The two paths are
@@ -30,7 +30,7 @@ import time
 
 import numpy as np
 
-from repro.jobs import BatchedGenerationEvaluator, JobRunner, JobSpec, JobStore
+from repro.jobs import JobRunner, JobSpec, JobStore
 from repro.optimize import FitnessEvaluator, GenomeLayout
 
 N_PANELS = 120
@@ -72,11 +72,8 @@ def generation_comparison(*, smoke=False):
     evaluator = FitnessEvaluator(layout=GenomeLayout(n_upper=5, n_lower=5),
                                  n_panels=n_panels, reynolds=4e5)
     population = make_population(evaluator, size)
-    batched = BatchedGenerationEvaluator(evaluator)
-    assert batched.batchable
-
     serial_records = [evaluator.evaluate(genome) for genome in population]
-    batched_records = batched(population)
+    batched_records = evaluator.evaluate_population(population)
     _identical(serial_records, batched_records)
 
     def best_of(run):
@@ -89,7 +86,7 @@ def generation_comparison(*, smoke=False):
 
     serial_s = best_of(lambda: [evaluator.evaluate(genome)
                                 for genome in population])
-    batched_s = best_of(lambda: batched(population))
+    batched_s = best_of(lambda: evaluator.evaluate_population(population))
     return {
         "n_panels": n_panels,
         "population": size,

@@ -37,13 +37,12 @@ from repro.optimize.fitness import FitnessEvaluator
 from repro.optimize.ga import GAConfig, GeneticOptimizer
 from repro.optimize.genome import GenomeLayout
 from repro.optimize.history import OptimizationHistory
-from repro.linalg import batched_solve
 # Not called here: perfbench's tracing launcher wraps these names in this module.
 from repro.linalg import batched_lu_factor, batched_lu_solve  # noqa: F401
 from repro.panel.assembly import assemble
 from repro.panel.freestream import Freestream
 from repro.panel.solution import PanelSolution
-from repro.panel.solver import PanelSolver, solution_from_unknowns
+from repro.panel.solver import solve_stack
 from repro.pipeline.engine import Timeline, simulate
 from repro.pipeline.metrics import HybridMetrics, evaluate
 from repro.pipeline.schedules import cpu_only, dual_accelerator, hybrid
@@ -112,15 +111,13 @@ def analyze(airfoil: AirfoilLike, alpha_degrees: float = 0.0, *,
             use_head: bool = True) -> AirfoilAnalysis:
     """Analyze an airfoil (by object or NACA designation string).
 
-    ``reynolds=None`` skips the viscous pass (inviscid only).
+    ``reynolds=None`` skips the viscous pass (inviscid only).  This is
+    :meth:`AnalyzeRequest.run`, so the library, the CLI and the served
+    ``/analyze`` compute the same bits.
     """
-    foil = _as_airfoil(airfoil, n_panels)
-    solver = PanelSolver(precision=Precision.parse(precision))
-    solution = solver.solve(foil, Freestream.from_degrees(alpha_degrees))
-    viscous = None
-    if reynolds is not None:
-        viscous = analyze_viscous(solution, reynolds, use_head=use_head)
-    return AirfoilAnalysis(solution=solution, viscous=viscous)
+    return AnalyzeRequest(airfoil=airfoil, alpha_degrees=alpha_degrees,
+                          reynolds=reynolds, n_panels=n_panels,
+                          precision=precision, use_head=use_head).run()
 
 
 def optimize(*, population_size: int = 60, generations: int = 8,
@@ -364,34 +361,52 @@ class AnalyzeRequest:
         return result
 
 
+def _solve_group(systems: Sequence) -> List:
+    """Solve one (size, dtype) group: a solution or error per system.
+
+    A singular member fails the whole stacked solve, so a failed group
+    is re-solved one system at a time: only the bad system keeps its
+    error, and its batchmates get the bits they would get alone.
+    """
+    try:
+        return solve_stack(np.stack([system.matrix for system in systems]),
+                           np.stack([system.rhs for system in systems]),
+                           systems)
+    except ReproError as error:
+        if len(systems) == 1:
+            return [error]
+        return [_solve_group([system])[0] for system in systems]
+
+
 def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
                           stage_hook=None, kernel=None) -> List:
     """Assemble and solve many requests (the backend work unit).
 
-    Requests are grouped by system size and dtype; each group is
-    assembled into one ``(batch, m, m)`` stack and solved with
-    :func:`repro.linalg.batched_solve` (LAPACK ``gesv`` through numpy,
-    the same kind of vendor LU the paper's CPU solve used).  This
-    function is the contract an :class:`repro.parallel.ExecutionBackend`
-    implements: the inline backend calls it directly, and the process
-    backend runs it inside worker processes, shard by shard.  LAPACK
-    solves each matrix of the stack on its own, which is why shard-wise
-    solving produces bit-identical numbers.
+    This is the one code path from requests to :class:`PanelSolution`
+    objects: :func:`analyze`, :meth:`AnalyzeRequest.run`, serving, and
+    both of :class:`~repro.optimize.fitness.FitnessEvaluator`'s scorers
+    reach it.  Requests are grouped by system size and dtype; each
+    group is assembled into one ``(batch, m, m)`` stack and solved with
+    :func:`repro.panel.solver.solve_stack` (LAPACK ``gesv`` through
+    numpy, the same kind of vendor LU the paper's CPU solve used).
+    This function is the contract an
+    :class:`repro.parallel.ExecutionBackend` implements: the inline
+    backend calls it directly, and the process backend runs it inside
+    worker processes, shard by shard.  LAPACK solves each matrix of the
+    stack on its own, which is why shard-wise solving produces
+    bit-identical numbers.
 
     ``stage_hook`` receives ``(stage, start, end, count)`` stamps:
     ``"assembly"`` once for the whole assemble loop and ``"solve"`` per
-    batched solve call.  ``kernel`` selects the influence-matrix
-    implementation (``reference`` / ``fused`` / ``native``; ``None``
-    defers to ``REPRO_ASSEMBLY_KERNEL`` — see ``docs/kernels.md``).
+    group.  ``kernel`` selects the influence-matrix implementation
+    (``reference`` / ``fused`` / ``native``; ``None`` defers to
+    ``REPRO_ASSEMBLY_KERNEL`` — see ``docs/kernels.md``).
 
     Returns one entry per request, in order: a :class:`PanelSolution`
     (circulation widened to ``float64``, exactly) on success, or the
-    :class:`ReproError` that request raised.
+    :class:`ReproError` that request raised.  A singular system fails
+    only its own request, never its batchmates.
     """
-    def _stage(name: str, start: float, end: float, count: int) -> None:
-        if stage_hook is not None:
-            stage_hook(name, start, end, count)
-
     requests = list(requests)
     results: List = [None] * len(requests)
     groups: dict = {}
@@ -405,21 +420,16 @@ def solve_request_systems(requests: Sequence[AnalyzeRequest], *,
             continue
         key = (system.n_unknowns, system.matrix.dtype)
         groups.setdefault(key, []).append((index, system))
-    _stage("assembly", assembly_started, time.monotonic(), len(requests))
+    if stage_hook is not None:
+        stage_hook("assembly", assembly_started, time.monotonic(),
+                   len(requests))
     for members in groups.values():
-        matrices = np.stack([system.matrix for _, system in members])
-        rhs = np.stack([system.rhs for _, system in members])
         solve_started = time.monotonic()
-        try:
-            unknowns = batched_solve(matrices, rhs)
-        except ReproError as error:
-            for index, _ in members:
-                results[index] = error
-            continue
-        finally:
-            _stage("solve", solve_started, time.monotonic(), len(members))
-        for (index, system), row in zip(members, unknowns):
-            results[index] = solution_from_unknowns(system, row)
+        solved = _solve_group([system for _, system in members])
+        if stage_hook is not None:
+            stage_hook("solve", solve_started, time.monotonic(), len(members))
+        for (index, _), entry in zip(members, solved):
+            results[index] = entry
     return results
 
 

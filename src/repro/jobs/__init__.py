@@ -12,16 +12,14 @@ Layers (see ``docs/jobs.md``):
   serialization of populations / RNG state / optimization history;
 * :mod:`repro.jobs.store` — append-only JSONL journal (torn-tail
   tolerant) plus atomic per-job checkpoint files;
-* :mod:`repro.jobs.evaluator` — whole-generation evaluation through
-  the shared batched backend path, bit-identical to the serial loop;
 * :mod:`repro.jobs.runner` — bounded job slots driving the GA one
-  generation at a time with checkpointing, cooperative cancellation,
-  and crash resume;
+  generation at a time (each generation scored as one stack by
+  :meth:`~repro.optimize.fitness.FitnessEvaluator.evaluate_population`)
+  with checkpointing, cooperative cancellation, and crash resume;
 * :mod:`repro.jobs.metrics` — the counters behind the ``jobs`` section
   of ``/metrics``.
 """
 
-from repro.jobs.evaluator import BatchedGenerationEvaluator
 from repro.jobs.metrics import JobMetrics
 from repro.jobs.model import (
     JobRecord,
@@ -39,7 +37,6 @@ from repro.jobs.runner import STAGE_GENERATION, JobRunner
 from repro.jobs.store import JobStore
 
 __all__ = [
-    "BatchedGenerationEvaluator",
     "JobMetrics",
     "JobRecord",
     "JobRunner",

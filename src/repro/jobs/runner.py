@@ -25,6 +25,7 @@ A raising progress callback (or any per-job failure) marks that job
 from __future__ import annotations
 
 import dataclasses
+import functools
 import queue
 import threading
 import time
@@ -33,7 +34,6 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro.errors import JobError
-from repro.jobs.evaluator import BatchedGenerationEvaluator
 from repro.jobs.metrics import JobMetrics
 from repro.jobs.model import (
     JobRecord,
@@ -67,6 +67,10 @@ class JobRunner:
         Execution backend for generation batches (shared with the
         serving path when embedded in an
         :class:`~repro.serve.service.AnalysisService`).
+    kernel:
+        Assembly kernel for every generation (``None`` defers to
+        ``REPRO_ASSEMBLY_KERNEL`` on each call; the service passes the
+        kernel it pinned at construction).
     tracer:
         Optional :class:`~repro.serve.tracing.Tracer`; each generation
         of each job becomes one sampled trace with a ``generation``
@@ -81,14 +85,15 @@ class JobRunner:
     """
 
     def __init__(self, store: JobStore, *, slots: int = 1,
-                 exec_backend=None, tracer=None,
-                 metrics: Optional[JobMetrics] = None,
+                 exec_backend=None, kernel: Optional[str] = None,
+                 tracer=None, metrics: Optional[JobMetrics] = None,
                  on_generation: Optional[Callable] = None) -> None:
         if int(slots) < 1:
             raise JobError(f"job slots must be >= 1, got {slots}")
         self.store = store
         self.slots = int(slots)
         self.exec_backend = exec_backend
+        self.kernel = kernel
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else store.metrics
         self.on_generation = on_generation
@@ -247,12 +252,13 @@ class JobRunner:
             if trace is not None:
                 def stage_hook(stage, start, end, count, _trace=trace):
                     _trace.add_stage(stage, start, end)
-            batched = BatchedGenerationEvaluator(
-                evaluator, backend=self.exec_backend, stage_hook=stage_hook
+            evaluate_all = functools.partial(
+                evaluator.evaluate_population, backend=self.exec_backend,
+                stage_hook=stage_hook, kernel=self.kernel,
             )
             optimizer = GeneticOptimizer(evaluator=evaluator,
                                          config=step_config,
-                                         evaluate_all=batched)
+                                         evaluate_all=evaluate_all)
             started = time.monotonic()
             population = optimizer.run_from(
                 population, rng, history=history,

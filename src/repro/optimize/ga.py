@@ -114,8 +114,8 @@ class GeneticOptimizer:
         Optional replacement for the serial per-genome evaluation loop.
         Called with the population (list of genomes) and must return one
         :class:`EvaluationRecord` per genome, in order — this is the seam
-        the jobs subsystem uses to route whole generations through the
-        batched solver path (see :mod:`repro.jobs.evaluator`).
+        the jobs subsystem uses to score whole generations as one stack
+        (a bound :meth:`FitnessEvaluator.evaluate_population`).
     """
 
     evaluator: FitnessEvaluator

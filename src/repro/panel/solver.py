@@ -5,11 +5,11 @@ LAPACK solve (:func:`repro.linalg.batched_solve`) and returns a
 :class:`~repro.panel.solution.PanelSolution`.  This is the "inner
 solver" the paper's genetic optimizer calls thousands of times.
 
-:func:`solve_stack` is the library's one solve loop over an assembled
-stack: :class:`PanelSolver`, the simulated devices of
+:func:`solve_stack` is the one solve loop over an assembled stack:
+:class:`PanelSolver`, the serving path's grouped solve in
+:mod:`repro.core.api`, the simulated devices of
 :mod:`repro.hardware.device` and the functional hybrid executor all
-use it.  (The serving path keeps its own grouped loop in
-:mod:`repro.core.api`.)
+use it.
 """
 
 from __future__ import annotations

@@ -224,7 +224,7 @@ class AnalysisService:
             store = JobStore(jobs_dir, logger=self.logger)
             self.jobs = JobRunner(
                 store, slots=job_slots, exec_backend=self._exec_backend,
-                tracer=self.tracer,
+                kernel=self.assembly_kernel, tracer=self.tracer,
             ).start()
         #: The :class:`~repro.tune.AutotuneController` when autotuning
         #: is enabled, else ``None`` (the HTTP layer 404s its route).

@@ -31,17 +31,25 @@ class TestAnalyze:
         summary = analyze("2412", alpha_degrees=4.0, n_panels=100).summary()
         assert "cl" in summary and "cd" in summary and "Re" in summary
 
-    def test_library_and_served_paths_are_bit_identical(self, capsys):
-        """``analyze`` (the library solver), ``AnalyzeRequest.run`` (the
-        serving path) and ``analyze --json`` share one batched LU, so
-        their numbers agree to the last bit."""
-        library = analyze("2412", 4.0)
-        served = AnalyzeRequest(airfoil="2412", alpha_degrees=4.0).run()
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    @pytest.mark.parametrize("reynolds", [1e6, None],
+                             ids=["viscous", "inviscid"])
+    def test_library_and_served_paths_are_bit_identical(self, capsys,
+                                                        precision, reynolds):
+        """``analyze`` (the library entry point), ``AnalyzeRequest.run``
+        (the serving path) and ``analyze --json`` share one batched
+        solve, so their numbers agree to the last bit."""
+        library = analyze("2412", 4.0, reynolds=reynolds, precision=precision)
+        served = AnalyzeRequest(airfoil="2412", alpha_degrees=4.0,
+                                reynolds=reynolds, precision=precision).run()
         assert (library.solution.gamma.tobytes()
                 == served.solution.gamma.tobytes())
         assert library.cl == served.cl
         assert library.cd == served.cd
-        assert main(["analyze", "2412", "--alpha", "4", "--json"]) == 0
+        if precision == "single":
+            return  # the CLI always analyzes in double precision
+        assert main(["analyze", "2412", "--alpha", "4", "--json",
+                     "--reynolds", str(reynolds or 0)]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["cl"] == library.cl
         assert record["cd"] == library.cd

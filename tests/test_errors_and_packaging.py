@@ -77,7 +77,7 @@ class TestPackageSurface:
         "repro.geometry", "repro.linalg", "repro.panel", "repro.viscous",
         "repro.optimize", "repro.hardware", "repro.pipeline",
         "repro.experiments", "repro.validation", "repro.viz",
-        "repro.serve",
+        "repro.serve", "repro.jobs",
     ])
     def test_subpackage_all_resolves(self, module):
         """Every name in __all__ is actually importable."""
@@ -86,6 +86,21 @@ class TestPackageSurface:
         imported = importlib.import_module(module)
         for name in imported.__all__:
             assert hasattr(imported, name), f"{module}.{name} missing"
+
+    @pytest.mark.parametrize("module", [
+        "repro.optimize.fitness", "repro.optimize", "repro.jobs",
+        "repro.core.api",
+    ])
+    def test_imports_first_without_a_cycle(self, module):
+        """``core.api`` and ``optimize.fitness`` use each other; either
+        may be the first module a fresh interpreter imports."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-c", f"import {module}"], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
 
     def test_report_command(self, capsys):
         """The CLI 'report' command emits the EXPERIMENTS.md preamble."""

@@ -1,23 +1,25 @@
-"""Serial/batched generation evaluation parity — the jobs subsystem's
-bit-for-bit contract with :meth:`FitnessEvaluator.evaluate`."""
+"""Serial/batched generation evaluation parity — the bit-for-bit
+contract between :meth:`FitnessEvaluator.evaluate_population` (what GA
+jobs call) and :meth:`FitnessEvaluator.evaluate`."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import OptimizationError
-from repro.jobs import BatchedGenerationEvaluator
+import repro.core.api as api
+from repro.errors import ExecutionBackendError, OptimizationError
+from repro.jobs import JobSpec, JobState
 from repro.optimize import (
     FitnessEvaluator,
     GAConfig,
     GeneticOptimizer,
     GenomeLayout,
 )
-from repro.panel import PanelSolver
-from repro.precision import Precision
+from repro.parallel import ExecutionBackend, InlineBackend
 
 
 def make_evaluator(**overrides):
@@ -56,9 +58,8 @@ class TestBitParity:
     @given(st.lists(genome_strategy, min_size=1, max_size=6))
     def test_batched_generation_matches_serial_bit_for_bit(self, genomes):
         evaluator = make_evaluator()
-        batched = BatchedGenerationEvaluator(evaluator)
         serial_records = [evaluator.evaluate(genome) for genome in genomes]
-        batched_records = batched(genomes)
+        batched_records = evaluator.evaluate_population(genomes)
         assert len(batched_records) == len(serial_records)
         for serial, batch in zip(serial_records, batched_records):
             assert records_identical(serial, batch)
@@ -72,20 +73,83 @@ class TestBitParity:
                       -0.09, -0.10, -0.10, -0.09, -0.04]),  # negative lift
             evaluator.layout.random_genome(rng),
         ]
-        batched = BatchedGenerationEvaluator(evaluator)(genomes)
+        batched = evaluator.evaluate_population(genomes)
         for genome, record in zip(genomes, batched):
             assert records_identical(evaluator.evaluate(genome), record)
 
-    def test_single_precision_solver_falls_back_to_serial(self):
-        evaluator = make_evaluator(
-            solver=PanelSolver(precision=Precision.SINGLE)
-        )
-        batched = BatchedGenerationEvaluator(evaluator)
-        assert not batched.batchable
-        genome = np.array([0.05, 0.08, 0.08, 0.06, 0.03,
-                           -0.02, -0.03, -0.03, -0.02, -0.01])
-        assert records_identical(evaluator.evaluate(genome),
-                                 batched([genome])[0])
+
+class CrashingBackend(ExecutionBackend):
+    """Solves inline, then reports every other entry as a crashed shard."""
+
+    name = "crashing"
+
+    def __init__(self):
+        self.kernels = []
+
+    def solve(self, requests, *, stage_hook=None, kernel=None):
+        self.kernels.append(kernel)
+        solved = InlineBackend().solve(requests, stage_hook=stage_hook,
+                                       kernel=kernel)
+        return [ExecutionBackendError("worker process crashed")
+                if index % 2 else entry
+                for index, entry in enumerate(solved)]
+
+
+class TestCrashRetry:
+    def test_crashed_shard_entries_are_rescored_inline(self, rng):
+        evaluator = make_evaluator()
+        genomes = [evaluator.layout.random_genome(rng) for _ in range(6)]
+        backend = CrashingBackend()
+        batched = evaluator.evaluate_population(genomes, backend=backend)
+        assert backend.kernels == [None]
+        assert len(batched) == len(genomes)
+        for genome, record in zip(genomes, batched):
+            assert records_identical(evaluator.evaluate(genome), record)
+
+    def test_inline_retry_keeps_the_pinned_kernel(self, rng, monkeypatch):
+        monkeypatch.setenv("REPRO_ASSEMBLY_KERNEL", "fused")
+        seen = []
+        assemble = api.assemble
+
+        def recording_assemble(*args, kernel=None, **kwargs):
+            seen.append(kernel)
+            return assemble(*args, kernel=kernel, **kwargs)
+
+        monkeypatch.setattr(api, "assemble", recording_assemble)
+        evaluator = make_evaluator()
+        genomes = [evaluator.layout.random_genome(rng) for _ in range(4)]
+        backend = CrashingBackend()
+        evaluator.evaluate_population(genomes, backend=backend,
+                                      kernel="reference")
+        assert backend.kernels == ["reference"]
+        assert seen and set(seen) == {"reference"}
+
+
+class TestServiceKernel:
+    def test_jobs_use_the_kernel_the_service_pinned(self, tmp_path,
+                                                    monkeypatch):
+        from repro.serve.service import AnalysisService
+
+        backend = CrashingBackend()
+        monkeypatch.setenv("REPRO_ASSEMBLY_KERNEL", "reference")
+        service = AnalysisService(n_workers=1, exec_backend=backend,
+                                  jobs_dir=str(tmp_path))
+        try:
+            # A later env change must not split the service's kernel.
+            monkeypatch.setenv("REPRO_ASSEMBLY_KERNEL", "fused")
+            record = service.jobs.submit(JobSpec.from_dict({
+                "seed": 3, "ga": {"population_size": 6, "generations": 2},
+                "fitness": {"n_panels": 40},
+            }))
+            deadline = time.monotonic() + 120.0
+            while not service.jobs.store.get(record.id).terminal:
+                assert time.monotonic() < deadline, "job did not finish"
+                time.sleep(0.02)
+            assert service.jobs.store.get(record.id).state == JobState.DONE
+        finally:
+            service.close()
+        assert len(backend.kernels) == 2
+        assert set(backend.kernels) == {"reference"}
 
 
 class TestGAIntegration:
@@ -97,7 +161,7 @@ class TestGAIntegration:
         )
         batched = GeneticOptimizer(
             evaluator=evaluator, config=config,
-            evaluate_all=BatchedGenerationEvaluator(evaluator),
+            evaluate_all=evaluator.evaluate_population,
         ).run(np.random.default_rng(11))
         assert len(serial.generations) == len(batched.generations)
         for left, right in zip(serial.generations, batched.generations):

@@ -4,6 +4,7 @@ JSON serialization."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -14,8 +15,8 @@ from repro.core.api import (
     evaluate_requests,
     serialize_analysis,
 )
-from repro.errors import ReproError, ServeError
-from repro.geometry import naca
+from repro.errors import LinalgError, ReproError, ServeError
+from repro.geometry import Airfoil, naca
 from repro.serve import AnalysisService
 
 
@@ -118,6 +119,24 @@ class TestEvaluateRequests:
         results = evaluate_requests(requests)
         assert not isinstance(results[0], Exception)
         assert isinstance(results[1], ReproError)
+
+    def test_singular_system_does_not_poison_its_group(self):
+        """A zero-thickness plate gives a singular matrix of the same size
+        as its batchmate's; only the plate's request may fail."""
+        x = 0.5 * (1.0 + np.cos(np.linspace(0.0, np.pi, 11)))
+        outline = np.concatenate([np.c_[x, 0.0 * x],
+                                  np.c_[x[::-1][1:], 0.0 * x[1:]]])
+        plate = AnalyzeRequest(airfoil=Airfoil(outline, name="flat plate"),
+                               reynolds=None, n_panels=20)
+        wing = AnalyzeRequest(airfoil=naca("2412", 20), reynolds=None,
+                              n_panels=20)
+        alone = evaluate_requests([wing])[0]
+        together = evaluate_requests([wing, plate])
+        assert not isinstance(together[0], Exception)
+        assert (together[0].solution.gamma.tobytes()
+                == alone.solution.gamma.tobytes())
+        assert together[0].cl == alone.cl
+        assert isinstance(together[1], LinalgError)
 
     def test_batch_composition_invariance(self):
         """A request's record must not depend on its batchmates —
