@@ -24,6 +24,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import time
 from typing import List, Optional, Sequence, Union
 
@@ -223,6 +224,33 @@ def extract_deadline_ms(payload):
     return payload, validate_deadline_ms(raw)
 
 
+#: Largest panel count a wire request or job spec may ask for.  Assembly
+#: allocates several ``n x n`` arrays per system, so without a cap one
+#: request body could ask for gigabytes; the largest n the repository
+#: itself uses is 400.  The library :func:`analyze` is not capped.
+MAX_WIRE_PANELS = 1000
+
+
+def validate_n_panels(value) -> int:
+    """Validate a panel count received over the wire.
+
+    Accepts an integral number (``200`` or ``200.0``) from 3 to
+    :data:`MAX_WIRE_PANELS` and returns it as an ``int``; raises
+    :class:`ServeError` otherwise, so a fractional count is rejected
+    rather than truncated.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (isinstance(value, numbers.Integral)
+                    or float(value).is_integer())):
+        raise ServeError(f"n_panels must be an integer, got {value!r}")
+    n_panels = int(value)
+    if not 3 <= n_panels <= MAX_WIRE_PANELS:
+        raise ServeError(
+            f"n_panels must be between 3 and {MAX_WIRE_PANELS}, got {value!r}"
+        )
+    return n_panels
+
+
 @dataclasses.dataclass(frozen=True)
 class AnalyzeRequest:
     """One airfoil-evaluation request (the serving wire format).
@@ -280,9 +308,10 @@ class AnalyzeRequest:
     def from_dict(cls, payload) -> "AnalyzeRequest":
         """Parse a wire-format request, rejecting unknown fields.
 
-        ``alpha`` is accepted as an alias for ``alpha_degrees``, and a
+        ``alpha`` is accepted as an alias for ``alpha_degrees``, a
         Reynolds number of 0 means "inviscid only" (like the CLI's
-        ``--reynolds 0``).
+        ``--reynolds 0``), and ``n_panels`` must pass
+        :func:`validate_n_panels`.
         """
         if not isinstance(payload, dict):
             raise ServeError(
@@ -302,6 +331,8 @@ class AnalyzeRequest:
             raise ServeError("'airfoil' must be a designation string")
         if payload.get("reynolds") in (0, 0.0):
             payload["reynolds"] = None
+        if "n_panels" in payload:
+            payload["n_panels"] = validate_n_panels(payload["n_panels"])
         try:
             return cls(**payload)
         except (TypeError, ValueError) as error:

@@ -15,8 +15,8 @@ class ReproError(Exception):
 class GeometryError(ReproError):
     """Raised when an airfoil or curve geometry is invalid.
 
-    Examples include open contours where a closed one is required,
-    self-intersecting outlines, or degenerate (zero-length) panels.
+    Examples include open contours where a closed one is required, or
+    degenerate (zero-length) panels.
     """
 
 

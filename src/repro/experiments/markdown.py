@@ -275,11 +275,6 @@ def generate_experiments_markdown() -> str:
         "* `python -m repro convergence` — cl error vs panel count against "
         "the exact Joukowski solution: second order for the paper's "
         "formulation, so n = 200 carries ~0.05 % discretization error.\n"
-        "* island-model GA (`repro.optimize.islands`) — device-mapped "
-        "parallel GA; at the paper's solve-bound workload it cannot beat "
-        "the single-population pipeline (the shared host solve is the "
-        "bottleneck), quantifying why the paper's flat-batch design is "
-        "the right one.\n"
         "* speedup bounds (`repro.pipeline.bounds`) — Amdahl-style limits: "
         "the tuned GPU run realizes > 85 % of its chain-aware bound; the "
         "Phi's bound is strictly below the paper's solve-time bound because "

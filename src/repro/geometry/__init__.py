@@ -18,14 +18,11 @@ from repro.geometry.sampling import (
     uniform_spacing,
 )
 from repro.geometry.transforms import normalize_chord, pitch, rotate, scale, translate
-from repro.geometry.validate import ValidationIssue, ValidationReport, validate_airfoil
 
 __all__ = [
     "Airfoil",
     "BSplineAirfoil",
     "BSplineCurve",
-    "ValidationIssue",
-    "ValidationReport",
     "cosine_spacing",
     "half_cosine_spacing",
     "naca",
@@ -44,6 +41,5 @@ __all__ = [
     "to_dat_string",
     "translate",
     "uniform_spacing",
-    "validate_airfoil",
     "write_dat",
 ]

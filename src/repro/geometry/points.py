@@ -126,41 +126,3 @@ def bounding_box(points: np.ndarray) -> tuple:
     """``(min_xy, max_xy)`` corners of the axis-aligned bounding box."""
     points = as_points(points)
     return points.min(axis=0), points.max(axis=0)
-
-
-def segments_intersect(p1, p2, q1, q2, *, tol: float = 1e-12) -> bool:
-    """True if open segments ``p1-p2`` and ``q1-q2`` properly intersect.
-
-    Shared endpoints do not count as an intersection, so consecutive
-    polyline segments are never reported as intersecting.
-    """
-    p1 = np.asarray(p1, dtype=np.float64)
-    p2 = np.asarray(p2, dtype=np.float64)
-    q1 = np.asarray(q1, dtype=np.float64)
-    q2 = np.asarray(q2, dtype=np.float64)
-    r = p2 - p1
-    s = q2 - q1
-    denom = cross_z(r, s)
-    if abs(denom) < tol:
-        return False  # parallel or collinear: treated as non-crossing
-    t = cross_z(q1 - p1, s) / denom
-    u = cross_z(q1 - p1, r) / denom
-    return tol < t < 1.0 - tol and tol < u < 1.0 - tol
-
-
-def polyline_self_intersects(points: np.ndarray) -> bool:
-    """True if any two non-adjacent segments of the polyline cross.
-
-    Quadratic in the number of segments; intended for validation of
-    airfoil outlines (a few hundred panels at most).
-    """
-    points = as_points(points)
-    n = len(points) - 1
-    closed = bool(np.allclose(points[0], points[-1]))
-    for i in range(n):
-        for j in range(i + 2, n):
-            if closed and i == 0 and j == n - 1:
-                continue  # first and last segment share the closing point
-            if segments_intersect(points[i], points[i + 1], points[j], points[j + 1]):
-                return True
-    return False

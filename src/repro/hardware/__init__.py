@@ -33,13 +33,6 @@ from repro.hardware.energy import (
     estimate_energy,
 )
 from repro.hardware.kernels import KernelCost, KernelModel
-from repro.hardware.memory import (
-    DEVICE_MEMORY_BYTES,
-    MemoryPlan,
-    device_capacity_bytes,
-    enforce_slice_floor,
-    plan_memory,
-)
 from repro.hardware.roofline import (
     Regime,
     RooflinePoint,
@@ -62,19 +55,14 @@ from repro.hardware.specs import (
 __all__ = [
     "ACCELERATOR_CHOICES",
     "AssemblyOutput",
-    "DEVICE_MEMORY_BYTES",
     "DEVICE_TDP_W",
     "EnergyEstimate",
     "configuration_energy",
     "device_power",
     "estimate_energy",
-    "MemoryPlan",
     "Regime",
     "RooflinePoint",
     "assembly_intensity",
-    "device_capacity_bytes",
-    "enforce_slice_floor",
-    "plan_memory",
     "roofline_point",
     "solve_intensity",
     "DUAL_E5_2630_V3",

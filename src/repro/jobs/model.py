@@ -27,7 +27,8 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.errors import JobError, OptimizationError
+from repro.core.api import validate_n_panels
+from repro.errors import JobError, OptimizationError, ServeError
 from repro.optimize.fitness import FitnessEvaluator
 from repro.optimize.ga import GAConfig
 from repro.optimize.genome import GenomeLayout
@@ -213,14 +214,9 @@ class JobSpec:
         overrides = dict(self.fitness)
         if "n_panels" in overrides:
             try:
-                n_panels = int(overrides["n_panels"])
-            except (TypeError, ValueError):
-                raise JobError(
-                    f"n_panels must be an integer, got {overrides['n_panels']!r}"
-                )
-            if n_panels < 3:
-                raise JobError(f"n_panels must be at least 3, got {n_panels}")
-            overrides["n_panels"] = n_panels
+                overrides["n_panels"] = validate_n_panels(overrides["n_panels"])
+            except ServeError as error:
+                raise JobError(str(error))
         if "reynolds" in overrides:
             try:
                 reynolds = float(overrides["reynolds"])

@@ -1,7 +1,6 @@
 """Genetic optimization of airfoil geometries (the paper's outer loop)."""
 
 from repro.optimize.acceleration import GATimingResult, ga_speedup, time_ga_run
-from repro.optimize.constraints import ConstrainedEvaluator, DesignConstraints
 from repro.optimize.fitness import (
     INFEASIBLE_FITNESS,
     EvaluationRecord,
@@ -9,13 +8,6 @@ from repro.optimize.fitness import (
 )
 from repro.optimize.ga import GAConfig, GeneticOptimizer
 from repro.optimize.genome import GenomeBounds, GenomeLayout
-from repro.optimize.islands import (
-    IslandConfig,
-    IslandOptimizer,
-    IslandResult,
-    island_epoch_schedule,
-    time_island_run,
-)
 from repro.optimize.history import (
     GenerationRecord,
     Individual,
@@ -34,8 +26,6 @@ from repro.optimize.operators import (
 )
 
 __all__ = [
-    "ConstrainedEvaluator",
-    "DesignConstraints",
     "EvaluationRecord",
     "FitnessEvaluator",
     "GAConfig",
@@ -47,11 +37,6 @@ __all__ = [
     "GenomeBounds",
     "GenomeLayout",
     "INFEASIBLE_FITNESS",
-    "IslandConfig",
-    "IslandOptimizer",
-    "IslandResult",
-    "island_epoch_schedule",
-    "time_island_run",
     "Individual",
     "OptimizationHistory",
     "SelectionMethod",

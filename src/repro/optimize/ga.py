@@ -156,8 +156,8 @@ class GeneticOptimizer:
 
         Unlike :meth:`run`, every recorded generation is also evolved
         (the returned list is the population *after* the last step), so
-        successive calls chain cleanly — this is what the island model
-        uses between migration events.  Records are appended to
+        successive calls chain cleanly — the durable job runner calls it
+        one generation at a time.  Records are appended to
         *history* (if given) with indices starting at
         ``generation_offset``.
         """

@@ -1,15 +1,17 @@
-"""High-level panel-method solver.
+"""Panel-method solve of an assembled stack, and a direct solver.
 
-Ties together assembly (:mod:`repro.panel.assembly`) and the batched
-LAPACK solve (:func:`repro.linalg.batched_solve`) and returns a
-:class:`~repro.panel.solution.PanelSolution`.  This is the "inner
-solver" the paper's genetic optimizer calls thousands of times.
+:func:`solve_stack` is the one solve loop over an assembled stack: it
+runs :func:`repro.linalg.batched_solve` (LAPACK) and returns one
+:class:`~repro.panel.solution.PanelSolution` per system.  Everything
+that solves panel systems uses it:
+:func:`repro.core.api.solve_request_systems` (the path of ``analyze()``,
+serving, the genetic optimizer and drag polars), :class:`PanelSolver`,
+the simulated devices of :mod:`repro.hardware.device` and the
+functional hybrid executor.
 
-:func:`solve_stack` is the one solve loop over an assembled stack:
-:class:`PanelSolver`, the serving path's grouped solve in
-:mod:`repro.core.api`, the simulated devices of
-:mod:`repro.hardware.device` and the functional hybrid executor all
-use it.
+:class:`PanelSolver` assembles and solves airfoils directly; it is the
+way to pick a closure other than the Kutta condition (the
+zero-circulation closure of the cylinder oracle).
 """
 
 from __future__ import annotations
@@ -46,11 +48,6 @@ class PanelSolver:
     def __post_init__(self) -> None:
         object.__setattr__(self, "closure", Closure.parse(self.closure))
         object.__setattr__(self, "precision", Precision.parse(self.precision))
-
-    @classmethod
-    def with_precision(cls, precision: PrecisionLike, **kwargs) -> "PanelSolver":
-        """Construct a solver accepting any precision spelling."""
-        return cls(precision=Precision.parse(precision), **kwargs)
 
     def solve(self, airfoil: Airfoil, freestream: Freestream = None) -> PanelSolution:
         """Solve one airfoil/free-stream configuration (a stack of one)."""

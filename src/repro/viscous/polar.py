@@ -1,7 +1,10 @@
 """Drag polars: lift/drag/moment swept over angle of attack.
 
-A convenience driver combining the panel solver and the viscous
-correction; used by the examples and by Figure-2-style reporting.
+A sweep is one stack of independent systems, the paper's batch shape:
+every alpha is assembled and LU-solved together through
+:func:`repro.core.api.solve_request_systems`, then each solution gets
+the viscous correction.  Used by the examples and by Figure-2-style
+reporting.
 """
 
 from __future__ import annotations
@@ -13,9 +16,7 @@ import numpy as np
 
 from repro.errors import ViscousError
 from repro.geometry.airfoil import Airfoil
-from repro.panel.freestream import Freestream
-from repro.panel.solver import PanelSolver
-from repro.viscous.drag import ViscousAnalysis, analyze_viscous
+from repro.viscous.drag import analyze_viscous
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,39 +67,52 @@ class Polar:
         return max(usable, key=lambda point: point.lift_to_drag)
 
     def lift_slope_per_radian(self) -> float:
-        """Least-squares ``d cl / d alpha`` in 1/radian (thin airfoil: 2 pi)."""
+        """Least-squares ``d cl / d alpha`` in 1/radian (thin airfoil: 2 pi).
+
+        A slope needs rows at two or more distinct angles of attack.
+        """
         alphas = np.radians(self.alphas())
-        cls = self.lift_coefficients()
-        slope, _ = np.polyfit(alphas, cls, 1)
+        if len(np.unique(alphas)) < 2:
+            raise ViscousError(
+                "a lift slope needs at least two distinct angles of attack, "
+                f"got {len(self.points)} row(s)"
+            )
+        slope, _ = np.polyfit(alphas, self.lift_coefficients(), 1)
         return float(slope)
 
 
 def compute_polar(airfoil: Airfoil, alphas_degrees: Sequence[float], *,
-                  reynolds: float = 1e6, solver: PanelSolver = None,
-                  use_head: bool = True) -> Polar:
+                  reynolds: float = 1e6, use_head: bool = True) -> Polar:
     """Sweep angle of attack and assemble a polar.
 
-    Rows where the viscous correction fails (e.g. massive separation)
-    keep their inviscid lift with ``cd = None`` rather than aborting the
+    The whole sweep is solved as one stack by
+    :func:`repro.core.api.solve_request_systems`; LAPACK solves each
+    matrix of the stack on its own, so every row is bit-identical to
+    solving its alpha alone.  A failed solve raises.  Rows where the
+    viscous correction fails keep their inviscid lift with
+    ``cd = None`` and ``separated = True`` rather than aborting the
     sweep.
     """
-    solver = solver or PanelSolver()
+    # Imported here: repro.core.api imports this package.
+    from repro.core.api import AnalyzeRequest, solve_request_systems
+
+    requests = [
+        AnalyzeRequest(airfoil=airfoil, alpha_degrees=alpha, reynolds=None,
+                       n_panels=airfoil.n_panels)
+        for alpha in alphas_degrees
+    ]
     points: List[PolarPoint] = []
-    for alpha in alphas_degrees:
-        solution = solver.solve(airfoil, Freestream.from_degrees(alpha))
-        cl = solution.lift_coefficient
-        cm = solution.moment_coefficient()
-        cd: Optional[float] = None
-        separated = False
+    for request, solution in zip(requests, solve_request_systems(requests)):
+        if isinstance(solution, Exception):
+            raise solution
         try:
-            viscous: ViscousAnalysis = analyze_viscous(
-                solution, reynolds, use_head=use_head
-            )
-            cd = viscous.drag_coefficient
-            separated = viscous.separated
+            viscous = analyze_viscous(solution, reynolds, use_head=use_head)
         except ViscousError:
-            separated = True
+            cd, separated = None, True
+        else:
+            cd, separated = viscous.drag_coefficient, viscous.separated
         points.append(PolarPoint(
-            alpha_degrees=float(alpha), cl=cl, cd=cd, cm=cm, separated=separated,
+            alpha_degrees=request.alpha_degrees, cl=solution.lift_coefficient,
+            cd=cd, cm=solution.moment_coefficient(), separated=separated,
         ))
     return Polar(airfoil_name=airfoil.name, reynolds=reynolds, points=points)

@@ -1,13 +1,10 @@
 """Visualization helpers: ASCII terminal plots and standalone SVG."""
 
 from repro.viz.ascii_plot import plot_airfoil, plot_points, plot_series
-from repro.viz.charts import bar_chart, comparison_chart
 from repro.viz.svg import airfoil_svg, flow_svg, gantt_svg
 
 __all__ = [
     "airfoil_svg",
-    "bar_chart",
-    "comparison_chart",
     "flow_svg",
     "gantt_svg",
     "plot_airfoil",

@@ -89,11 +89,12 @@ class TestPackageSurface:
 
     @pytest.mark.parametrize("module", [
         "repro.optimize.fitness", "repro.optimize", "repro.jobs",
-        "repro.core.api",
+        "repro.core.api", "repro.viscous", "repro.viscous.polar",
     ])
     def test_imports_first_without_a_cycle(self, module):
-        """``core.api`` and ``optimize.fitness`` use each other; either
-        may be the first module a fresh interpreter imports."""
+        """``core.api`` uses ``optimize.fitness`` and ``viscous``, and
+        both call back into it; any of them may be the first module a
+        fresh interpreter imports."""
         env = dict(os.environ)
         env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).resolve().parents[1])
         completed = subprocess.run(

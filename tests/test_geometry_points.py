@@ -90,30 +90,3 @@ class TestPolyline:
         low, high = pt.bounding_box(self.square)
         assert low == pytest.approx([0.0, 0.0])
         assert high == pytest.approx([1.0, 1.0])
-
-
-class TestIntersection:
-    def test_crossing_segments(self):
-        assert pt.segments_intersect((0, 0), (1, 1), (0, 1), (1, 0))
-
-    def test_parallel_segments(self):
-        assert not pt.segments_intersect((0, 0), (1, 0), (0, 1), (1, 1))
-
-    def test_shared_endpoint_not_crossing(self):
-        assert not pt.segments_intersect((0, 0), (1, 0), (1, 0), (1, 1))
-
-    def test_disjoint(self):
-        assert not pt.segments_intersect((0, 0), (1, 0), (2, 1), (3, 1))
-
-    def test_simple_polyline_not_self_intersecting(self):
-        assert not pt.polyline_self_intersects(TestPolyline.square)
-
-    def test_bowtie_self_intersects(self):
-        bowtie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        assert pt.polyline_self_intersects(bowtie)
-
-    def test_closed_polyline_closing_segment_ignored(self):
-        # First and last segments share the closing point; must not be
-        # reported as a crossing.
-        triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.0, 0.0]])
-        assert not pt.polyline_self_intersects(triangle)

@@ -1,4 +1,4 @@
-"""Tests for geometry transforms, Selig I/O, and validation checks."""
+"""Tests for geometry transforms and Selig I/O."""
 
 import io
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import GeometryError
 from repro.geometry import (
-    naca,
     normalize_chord,
     pitch,
     read_dat,
@@ -16,7 +15,6 @@ from repro.geometry import (
     scale,
     to_dat_string,
     translate,
-    validate_airfoil,
     write_dat,
 )
 from repro.geometry.airfoil import Airfoil
@@ -105,34 +103,3 @@ class TestSeligIO:
         write_dat(naca0012, buffer)
         buffer.seek(0)
         assert read_dat(buffer).n_panels == naca0012.n_panels
-
-
-class TestValidation:
-    def test_good_airfoil_passes(self, naca2412):
-        report = validate_airfoil(naca2412)
-        assert report.ok
-        assert "ok" in str(report)
-
-    def test_thin_section_flagged(self):
-        foil = naca("0001", 100)
-        report = validate_airfoil(foil, min_thickness=0.05)
-        assert not report.ok
-        assert any(issue.code == "thin" for issue in report.issues)
-
-    def test_area_floor(self, naca2412):
-        report = validate_airfoil(naca2412, min_area=1.0)
-        assert any(issue.code == "area" for issue in report.issues)
-
-    def test_panel_ratio_flag(self, naca2412):
-        report = validate_airfoil(naca2412, max_panel_length_ratio=1.5)
-        assert any(issue.code == "panels" for issue in report.issues)
-
-    def test_self_intersection_flag(self):
-        crossed = Airfoil.from_points(np.array(
-            [[1.0, 0.0], [0.2, 0.5], [0.8, 0.5], [0.0, 0.0], [1.0, 0.0]]))
-        report = validate_airfoil(crossed)
-        assert any(issue.code == "crossing" for issue in report.issues)
-
-    def test_intersection_check_can_be_disabled(self, naca2412):
-        report = validate_airfoil(naca2412, check_self_intersection=False)
-        assert report.ok

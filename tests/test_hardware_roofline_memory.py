@@ -1,4 +1,4 @@
-"""Tests for the roofline analysis and the device memory model."""
+"""Tests for the roofline analysis."""
 
 import pytest
 
@@ -10,13 +10,9 @@ from repro.hardware import (
     XEON_PHI_7120,
     Regime,
     assembly_intensity,
-    device_capacity_bytes,
-    enforce_slice_floor,
-    plan_memory,
     roofline_point,
     solve_intensity,
 )
-from repro.pipeline import Workload
 from repro.precision import Precision
 
 
@@ -77,40 +73,3 @@ class TestRooflinePoints:
         sp = roofline_point(HALF_K80, "assembly", precision="single")
         dp = roofline_point(HALF_K80, "assembly", precision="double")
         assert sp.intensity == pytest.approx(2 * dp.intensity)
-
-
-class TestMemoryModel:
-    def test_paper_workload_fits_on_k80_half(self):
-        plan = plan_memory(HALF_K80, Workload.paper_reference("double"))
-        assert plan.fits_whole_batch
-        assert plan.min_slices == 1
-        assert plan.utilization < 0.2
-
-    def test_capacity_values(self):
-        assert device_capacity_bytes(HALF_K80) < device_capacity_bytes(
-            XEON_PHI_7120
-        )
-
-    def test_large_workload_forces_slicing(self):
-        big = Workload(batch=100000, n=400, precision="double")
-        plan = plan_memory(HALF_K80, big)
-        assert not plan.fits_whole_batch
-        assert plan.min_slices > 1
-        # Two resident slices fit by construction.
-        slice_bytes = 2 * big.total_bytes / plan.min_slices
-        assert slice_bytes <= plan.capacity_bytes
-
-    def test_enforce_slice_floor(self):
-        big = Workload(batch=100000, n=400, precision="double")
-        floor = plan_memory(HALF_K80, big).min_slices
-        assert enforce_slice_floor(HALF_K80, big, 5) == max(5, floor)
-        assert enforce_slice_floor(HALF_K80, big, floor + 10) == floor + 10
-
-    def test_cpu_has_no_memory_entry(self):
-        with pytest.raises(HardwareModelError, match="no memory size"):
-            plan_memory(E5_2630_V3, Workload.paper_reference())
-
-    def test_oversized_single_matrix_rejected(self):
-        huge = Workload(batch=2, n=40000, precision="double")
-        with pytest.raises(HardwareModelError, match="does not fit"):
-            plan_memory(HALF_K80, huge)

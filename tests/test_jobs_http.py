@@ -8,6 +8,8 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -111,6 +113,20 @@ class TestJobsEndpoints:
             client.submit_job({"seed": 0, "bogus": True})
         with pytest.raises(ServeError, match="400"):
             client.submit_job({"seed": -3})
+
+    @pytest.mark.parametrize("n_panels", [200.5, 1002])
+    def test_bad_panel_count_is_400(self, served_jobs, n_panels):
+        _, server, _ = served_jobs
+        spec = dict(SPEC, fitness={"n_panels": n_panels})
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{server.port}/jobs",
+            data=json.dumps(spec).encode(), method="POST")
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert excinfo.value.code == 400
+        document = json.loads(excinfo.value.read())
+        assert document["type"] == "JobError"
+        assert "n_panels" in document["error"]
 
     def test_bad_since_is_400(self, served_jobs):
         _, _, client = served_jobs

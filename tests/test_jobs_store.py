@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.api import MAX_WIRE_PANELS
 from repro.errors import JobError, JobNotFoundError
 from repro.jobs import (
     JobSpec,
@@ -63,6 +64,11 @@ class TestJobSpec:
     def test_invalid_fitness_rejected(self):
         with pytest.raises(JobError):
             JobSpec.from_dict({"seed": 0, "fitness": {"n_panels": -5}})
+
+    @pytest.mark.parametrize("n_panels", [200.5, "60", MAX_WIRE_PANELS + 2])
+    def test_panel_count_takes_the_wire_check(self, n_panels):
+        with pytest.raises(JobError, match="n_panels"):
+            JobSpec.from_dict({"seed": 0, "fitness": {"n_panels": n_panels}})
 
 
 class TestStateMachine:

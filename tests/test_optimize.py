@@ -235,6 +235,30 @@ class TestGeneticOptimizer:
             OptimizationHistory().champion
 
 
+class TestRunFrom:
+    @pytest.fixture(scope="class")
+    def evaluator(self):
+        return FitnessEvaluator(layout=GenomeLayout(n_upper=5, n_lower=5),
+                                n_panels=60, reynolds=4e5)
+
+    def test_chains_with_offset(self, evaluator):
+        config = GAConfig(population_size=10, generations=2)
+        optimizer = GeneticOptimizer(evaluator=evaluator, config=config)
+        rng = np.random.default_rng(2)
+        population = [evaluator.layout.random_genome(rng) for _ in range(10)]
+        history = OptimizationHistory()
+        population = optimizer.run_from(population, rng, history=history)
+        optimizer.run_from(population, rng, history=history,
+                           generation_offset=2)
+        assert [g.index for g in history.generations] == [0, 1, 2, 3]
+
+    def test_population_size_checked(self, evaluator):
+        config = GAConfig(population_size=10, generations=1)
+        optimizer = GeneticOptimizer(evaluator=evaluator, config=config)
+        with pytest.raises(OptimizationError, match="population"):
+            optimizer.run_from([np.zeros(10)], np.random.default_rng(0))
+
+
 class TestRankingOrder:
     """Regression tests for the tie-break instability: reversing a
     stable ascending argsort emitted equal-fitness individuals in

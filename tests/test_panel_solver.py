@@ -20,7 +20,7 @@ class TestSolverBasics:
             solved_2412.gamma[0] = 1.0
 
     def test_precision_spellings(self):
-        solver = PanelSolver.with_precision("sp")
+        solver = PanelSolver(precision="sp")
         assert solver.precision is Precision.SINGLE
 
     def test_single_precision_close_to_double(self, naca2412):

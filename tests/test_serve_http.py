@@ -8,7 +8,12 @@ import urllib.request
 import pytest
 
 from repro.cluster import ClusterHTTPServer, ClusterRouter
-from repro.core.api import AnalyzeRequest, canonical_json, serialize_analysis
+from repro.core.api import (
+    MAX_WIRE_PANELS,
+    AnalyzeRequest,
+    canonical_json,
+    serialize_analysis,
+)
 from repro.errors import DeadlineExceededError, ExecutionBackendError, ServeError
 from repro.obs.ids import REQUEST_ID_HEADER
 from repro.serve import AnalysisService, ServeClient, start_server
@@ -138,6 +143,17 @@ class TestEndpoints:
         _, _, client = served
         with pytest.raises(ServeError, match="unknown request fields"):
             client.analyze({"airfoil": "2412", "bogus": 1})
+
+    @pytest.mark.parametrize("n_panels", [200.5, MAX_WIRE_PANELS + 2])
+    def test_bad_panel_count_is_400(self, live, n_panels):
+        """A fractional count is not truncated and a huge one never
+        reaches assembly: both are typed 400s on either front end."""
+        body = json.dumps({"airfoil": "2412", "n_panels": n_panels}).encode()
+        error = http_error(f"{live}/analyze", body)
+        assert error.code == 400
+        document = json.loads(error.read())
+        assert document["type"] == "ServeError"
+        assert "n_panels" in document["error"]
 
     def test_unknown_path_is_404(self, live):
         assert http_error(f"{live}/nope").code == 404

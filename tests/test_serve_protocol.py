@@ -9,6 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.api import (
+    MAX_WIRE_PANELS,
     AnalyzeRequest,
     analyze,
     canonical_json,
@@ -52,10 +53,25 @@ class TestAnalyzeRequest:
         {"airfoil": "2412", "n_panels": 2},
         {"airfoil": "2412", "precision": "half"},
         {"airfoil": ""},
+        {"airfoil": "2412", "n_panels": 200.5},  # never truncated
+        {"airfoil": "2412", "n_panels": MAX_WIRE_PANELS + 2},
+        {"airfoil": "2412", "n_panels": "200"},
+        {"airfoil": "2412", "n_panels": True},
+        {"airfoil": "2412", "n_panels": float("inf")},
     ])
     def test_invalid_payloads_rejected(self, payload):
         with pytest.raises(ServeError):
             AnalyzeRequest.from_dict(payload)
+
+    @pytest.mark.parametrize("value", [3, 200, 200.0, MAX_WIRE_PANELS])
+    def test_integral_panel_counts_accepted(self, value):
+        request = AnalyzeRequest.from_dict({"airfoil": "2412", "n_panels": value})
+        assert request.n_panels == value
+        assert type(request.n_panels) is int
+
+    def test_library_requests_are_not_capped(self):
+        request = AnalyzeRequest(airfoil="2412", n_panels=MAX_WIRE_PANELS + 2)
+        assert request.n_panels == MAX_WIRE_PANELS + 2
 
     def test_airfoil_object_not_serializable(self, naca0012):
         request = AnalyzeRequest(airfoil=naca0012, n_panels=naca0012.n_panels)
