@@ -7,6 +7,9 @@ how much coalescing the micro-batcher achieved.  The point to watch is
 the batching column — with ``max_batch=1`` every request is its own
 LU call, while the batched settings collapse the same traffic into a
 handful of stacks (the serving analogue of the paper's slice sweep).
+One row leaves both knobs unset, so the shipped default policy
+(flush when the queue is empty) is measured and trend-gated too; the
+row records the values the service resolved.
 
 A ``backend=process`` row repeats the best batched setting with the
 micro-batches sharded across worker processes (see
@@ -44,12 +47,15 @@ from repro.errors import DeadlineExceededError
 from repro.parallel import make_backend
 from repro.serve import AnalysisService
 
-#: (max_batch, max_wait_seconds) settings swept by the benchmark.
-SETTINGS = ((1, 0.0), (8, 0.002), (32, 0.01))
+#: The knobs left unset: the service's default policy.
+DEFAULT = (None, None)
 
-#: Reduced sweep used by ``--smoke`` (CI): one unbatched and one
-#: batched setting, smaller offered load, same assertions.
-SMOKE_SETTINGS = ((1, 0.0), (8, 0.002))
+#: (max_batch, max_wait_seconds) settings swept by the benchmark.
+SETTINGS = ((1, 0.0), DEFAULT, (8, 0.002), (32, 0.01))
+
+#: Reduced sweep used by ``--smoke`` (CI): one unbatched setting, the
+#: default and one timed setting, smaller offered load, same assertions.
+SMOKE_SETTINGS = ((1, 0.0), DEFAULT, (8, 0.002))
 
 N_CLIENTS = 8
 REQUESTS_PER_CLIENT = 8
@@ -101,6 +107,8 @@ def drive(max_batch, max_wait, *, deadline_ms=None, backend="inline",
     :class:`DeadlineExceededError` is an expected outcome rather than a
     failure.  ``backend`` selects the execution backend the service
     solves its micro-batches on (``"inline"`` or ``"process"``).
+    ``None`` knobs keep the service's default; the row records the
+    resolved values.
     """
     service = AnalysisService(max_batch=max_batch, max_wait=max_wait,
                               cache_size=256, n_workers=2, queue_limit=1024,
@@ -129,6 +137,7 @@ def drive(max_batch, max_wait, *, deadline_ms=None, backend="inline",
         thread.join()
     wall = time.perf_counter() - start
     snapshot = service.metrics_snapshot()
+    policy = service.policy
     service.close()
     if errors:
         raise errors[0]
@@ -136,10 +145,14 @@ def drive(max_batch, max_wait, *, deadline_ms=None, backend="inline",
     total = n_clients * requests_per_client
     latency = snapshot["latency_ms"]
     exec_stats = snapshot["exec_backend"]
+    batching = snapshot["batching"]
+    flushed = sum(int(size) * count for size, count
+                  in batching["batch_size_histogram"].items())
     return {
         "backend": backend,
-        "max_batch": max_batch,
-        "max_wait_ms": 1e3 * max_wait,
+        "default_policy": (max_batch, max_wait) == DEFAULT,
+        "max_batch": policy.max_batch,
+        "max_wait_ms": 1e3 * policy.max_wait,
         "deadline_ms": deadline_ms,
         "requests": total,
         "wall_s": round(wall, 4),
@@ -149,9 +162,11 @@ def drive(max_batch, max_wait, *, deadline_ms=None, backend="inline",
         "latency_p99_ms": (None if latency["p99"] is None
                            else round(latency["p99"], 3)),
         "cache_hit_rate": round(snapshot["cache"]["hit_rate"], 3),
-        "batched_solves": snapshot["batching"]["batched_solves"],
-        "solved_systems": snapshot["batching"]["solved_systems"],
-        "max_batch_observed": snapshot["batching"]["max_batch"],
+        "batched_solves": batching["batched_solves"],
+        "solved_systems": batching["solved_systems"],
+        "max_batch_observed": batching["max_batch"],
+        "mean_batch": (round(flushed / batching["flushes"], 3)
+                       if batching["flushes"] else None),
         "shed": snapshot["requests"]["shed"],
         "expired": snapshot["requests"]["expired"],
         "cancelled": snapshot["requests"]["cancelled"],
@@ -273,6 +288,11 @@ def check_rows(rows):
     unbatched = normal[0]
     for summary in normal[1:]:
         assert summary["batched_solves"] <= unbatched["batched_solves"]
+    # The shipped default coalesces without a timer: requests that
+    # queue while a solve runs flush together as the next batch.
+    default = next(row for row in normal if row["default_policy"])
+    assert (default["max_batch"], default["max_wait_ms"]) == (64, 0.0), default
+    assert default["mean_batch"] > 1.0, default
     # The process-backend row must have served the same traffic
     # healthily: real sharded work, no crashes, no silent fallbacks.
     process_rows = [row for row in normal if row["backend"] == "process"]

@@ -1,8 +1,7 @@
 """Benchmark trend gate: fresh ``--smoke`` artifacts vs committed baselines.
 
-CI runs the four smoke benchmarks (``bench_serving.py``,
-``bench_kernels.py``, ``bench_cluster.py``, ``bench_autotune.py``),
-each of which writes a
+CI runs the three smoke benchmarks (``bench_serving.py``,
+``bench_kernels.py``, ``bench_cluster.py``), each of which writes a
 machine-readable ``BENCH_*.json`` artifact, then runs this script to
 compare the fresh numbers against the baselines committed under
 ``benchmarks/baselines/``.  A performance metric that regresses beyond
@@ -41,7 +40,7 @@ BASELINE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 #: Artifact filenames the gate covers.
 ARTIFACTS = ("BENCH_serving.json", "BENCH_kernels.json",
-             "BENCH_cluster.json", "BENCH_autotune.json")
+             "BENCH_cluster.json")
 
 #: Default noise band: a metric may move by this *fraction* in the bad
 #: direction before the gate fails (0.5 = half/double).
@@ -64,11 +63,6 @@ SPECS = {
     },
     "BENCH_cluster.json": {
         "key_fields": ("replicas", "killed_one"),
-        "higher": ("throughput_rps",),
-        "lower": (),
-    },
-    "BENCH_autotune.json": {
-        "key_fields": ("config",),
         "higher": ("throughput_rps",),
         "lower": (),
     },

@@ -81,11 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub_serve.add_argument("--port", type=int, default=8000,
                            help="bind port (0 picks a free port)")
     sub_serve.add_argument("--max-batch", type=int, default=None,
-                           help="micro-batch size cap (default: derived from "
-                                "the pipeline slicing heuristics)")
+                           help="micro-batch size cap (default 64)")
     sub_serve.add_argument("--max-wait-ms", type=float, default=None,
                            help="micro-batch flush deadline in milliseconds "
-                                "(default: derived)")
+                                "(default 0: flush when the queue is empty)")
     sub_serve.add_argument("--cache-size", type=int, default=1024,
                            help="LRU result-cache capacity (0 disables)")
     sub_serve.add_argument("--workers", type=int, default=2,
@@ -148,21 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub_serve.add_argument("--job-slots", type=int, default=1, metavar="N",
                            help="optimization jobs run concurrently "
                                 "(default 1)")
-    sub_serve.add_argument("--autotune", choices=["off", "advise", "apply"],
-                           default=None,
-                           help="online autotuning of the batching policy: "
-                                "advise journals recommendations, apply also "
-                                "swaps the live policy (default: the "
-                                "REPRO_AUTOTUNE env var, else off; see "
-                                "docs/autotune.md)")
-    sub_serve.add_argument("--autotune-interval", type=float, default=30.0,
-                           metavar="SECONDS",
-                           help="autotune control-loop period (default 30)")
-    sub_serve.add_argument("--autotune-min-improvement", type=float,
-                           default=0.10, metavar="FRACTION",
-                           help="hysteresis: minimum predicted fractional "
-                                "improvement before the autotuner acts "
-                                "(default 0.10)")
 
     connection = argparse.ArgumentParser(add_help=False)
     connection.add_argument("--host", default="127.0.0.1",
@@ -277,20 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                                metavar="FRACTION",
                                help="cluster availability/latency objective "
                                     "in (0, 1) (default 0.99)")
-    cluster_route.add_argument("--autotune",
-                               choices=["off", "advise", "apply"],
-                               default=None,
-                               help="per-replica routing-weight tuning: "
-                                    "advise journals recommendations, apply "
-                                    "also reweights the hash ring (default: "
-                                    "REPRO_AUTOTUNE, else off)")
-    cluster_route.add_argument("--autotune-interval", type=float,
-                               default=30.0, metavar="SECONDS",
-                               help="weight-tuning loop period (default 30)")
-    cluster_route.add_argument("--autotune-min-improvement", type=float,
-                               default=0.10, metavar="FRACTION",
-                               help="minimum fraction of traffic a reweight "
-                                    "must move before acting (default 0.10)")
     cluster_sub.add_parser(
         "status", parents=[connection],
         help="print a running router's /cluster/status document",
@@ -319,9 +289,6 @@ def run_serve(arguments) -> int:
         exec_procs=arguments.exec_procs,
         assembly_kernel=arguments.assembly_kernel,
         jobs_dir=arguments.jobs_dir, job_slots=arguments.job_slots,
-        autotune=arguments.autotune,
-        autotune_interval=arguments.autotune_interval,
-        autotune_min_improvement=arguments.autotune_min_improvement,
     )
     server = start_server(service, host=arguments.host, port=arguments.port)
     policy = service.policy
@@ -342,7 +309,6 @@ def run_serve(arguments) -> int:
           f"exec_backend={exec_info}, "
           f"assembly_kernel={service.assembly_kernel}, "
           f"jobs={jobs_info}, "
-          f"autotune={'off' if service.autotuner is None else service.autotuner.config.mode}, "
           f"trace_sample={arguments.trace_sample:g}, "
           f"log_format={arguments.log_format})", flush=True)
     try:
@@ -439,9 +405,6 @@ def run_cluster(arguments) -> int:
         logger=make_logger(arguments.log_format),
         slo_latency_ms=arguments.slo_latency_ms,
         slo_target=arguments.slo_target,
-        autotune=arguments.autotune,
-        autotune_interval=arguments.autotune_interval,
-        autotune_min_improvement=arguments.autotune_min_improvement,
     )
     router.start()
     server = start_cluster_server(router, host=arguments.host,
@@ -455,7 +418,6 @@ def run_cluster(arguments) -> int:
           f"state_dir={arguments.state_dir or 'none'}, "
           f"trace_sample={arguments.trace_sample:g}, "
           f"slo={arguments.slo_latency_ms:g}ms@{arguments.slo_target:g}, "
-          f"autotune={'off' if router.autotuner is None else router.autotuner.config.mode}, "
           f"log_format={arguments.log_format})", flush=True)
     try:
         while not server.wait(3600.0):

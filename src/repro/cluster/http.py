@@ -4,9 +4,9 @@ The router speaks the *same wire API* as a single ``repro serve``
 process — ``/analyze``, ``/analyze_batch``, ``/jobs``, ``/healthz``,
 ``/metrics`` — so an existing :class:`~repro.serve.client.ServeClient`
 can point at a router instead of a replica without changing a line.
-The server class, the shared routes (``/metrics``, ``/debug/autotune``,
-``/jobs``), the body plumbing, and the error → status map all come
-from :mod:`repro.serve.http`; this module adds only the router's
+The server class, the shared routes (``/metrics``, ``/jobs``), the
+body plumbing, and the error → status map all come from
+:mod:`repro.serve.http`; this module adds only the router's
 backend calls and its own routes:
 
 * ``POST /analyze`` — relays the serving replica's body byte for byte.
@@ -84,9 +84,6 @@ class _ClusterHandler(ReproHandler):
 
     def _metrics_document(self) -> dict:
         return self.server.router.metrics_document()
-
-    def _autotuner(self):
-        return self.server.router.autotuner
 
     def _handle_debug_trace(self, query: dict) -> None:
         """The stitched distributed trace (ASCII Gantt or JSON)."""

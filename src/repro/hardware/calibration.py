@@ -108,40 +108,6 @@ def calibrate(device: DeviceSpec, precision: Precision) -> KernelCalibration:
     )
 
 
-def calibrate_from_measurement(device: DeviceSpec, precision, *,
-                               assembly_seconds: float, solve_seconds: float,
-                               batch: int, n: int) -> KernelCalibration:
-    """Back out Table-2-style anchors from a *live* measurement.
-
-    The online autotuner measures how long this machine actually spends
-    assembling and solving ``batch`` systems of size ``n``; rescaling by
-    the kernels' arithmetic complexity (``n^2`` for assembly, the LU
-    flop ratio for solve) converts that measurement into the same
-    per-matrix-at-``REFERENCE_N`` anchors Table 2 provides, so the whole
-    simulator — schedules, theory, ``tune_slices`` — runs unchanged on
-    fitted production throughputs.
-    """
-    precision = Precision.parse(precision)
-    if int(batch) < 1 or int(n) < 3:
-        raise CalibrationError(
-            f"measurement needs batch >= 1 and n >= 3, got batch={batch} n={n}"
-        )
-    if assembly_seconds <= 0.0 or solve_seconds <= 0.0:
-        raise CalibrationError(
-            f"measured kernel times must be positive, got "
-            f"assembly={assembly_seconds!r} solve={solve_seconds!r}"
-        )
-    assembly_scale = (n / REFERENCE_N) ** 2
-    solve_scale = ((factor_flops(n) + solve_flops(n))
-                   / (factor_flops(REFERENCE_N) + solve_flops(REFERENCE_N)))
-    return KernelCalibration(
-        device=device,
-        precision=precision,
-        assembly_per_matrix=assembly_seconds / batch / assembly_scale,
-        solve_per_matrix=solve_seconds / batch / solve_scale,
-    )
-
-
 def implied_efficiencies() -> Dict[Tuple[str, str], Tuple[float, float]]:
     """(assembly, solve) efficiency for every calibrated device.
 

@@ -54,25 +54,6 @@ class Workstation:
         parts.extend(device.name for device in self.accelerators)
         return " + ".join(parts)
 
-    def with_cpu_calibration(self, calibration) -> "Workstation":
-        """A copy whose host runs at a *fitted* kernel calibration.
-
-        The online autotuner measures the serving host's real assembly
-        and solve throughputs and re-anchors the simulated CPU with
-        them (see
-        :func:`repro.hardware.calibration.calibrate_from_measurement`),
-        so the paper's schedules and tuners predict for the machine
-        actually serving traffic instead of the paper's.
-        """
-        from repro.hardware.kernels import KernelModel
-
-        model = KernelModel(device=self.cpu.spec,
-                            precision=calibration.precision,
-                            calibration=calibration)
-        cpu = dataclasses.replace(self.cpu, precision=calibration.precision,
-                                  model=model)
-        return dataclasses.replace(self, cpu=cpu)
-
 
 def cpu_spec(sockets: int) -> DeviceSpec:
     """The host CPU spec for one or two sockets."""

@@ -182,6 +182,7 @@ class JobRunner:
         snapshot["queue_depth"] = self.queue_depth
         snapshot["states"] = self.store.state_counts()
         snapshot["torn_journal_lines"] = self.store.torn_lines
+        snapshot["rejected_specs"] = self.store.rejected_specs
         return snapshot
 
     # ------------------------------------------------------------------

@@ -13,9 +13,13 @@ open, the store replays the journal to rebuild every
 signature of a crash mid-append — is tolerated and counted in
 :attr:`JobStore.torn_lines`; a corrupt line anywhere else raises
 :class:`~repro.errors.JobError`, because silently skipping interior
-history would fabricate job states.  Jobs that were ``RUNNING`` when
-the process died stay ``RUNNING`` after replay and are reported by
-:meth:`resumable` for the runner to pick up.
+history would fabricate job states.  A submitted spec that today's
+:meth:`JobSpec.from_dict <repro.jobs.model.JobSpec.from_dict>` rejects
+(a journal written under looser validation) skips that one job,
+counted in :attr:`JobStore.rejected_specs` and logged; every other job
+still replays.  Jobs that were ``RUNNING`` when the process died stay
+``RUNNING`` after replay and are reported by :meth:`resumable` for the
+runner to pick up.
 
 **Checkpoints.**  :meth:`write_checkpoint` writes the whole payload to
 a temp file, fsyncs, and :func:`os.replace`-renames it over the live
@@ -80,6 +84,9 @@ class JobStore:
         #: Torn final journal lines dropped during replay (0 or 1 per
         #: boot; counted so /metrics can surface crash recoveries).
         self.torn_lines = 0
+        #: Journaled jobs skipped during replay because their spec no
+        #: longer validates (their later entries are ignored too).
+        self.rejected_specs = 0
         self._replay()
         self._journal = open(self._journal_path, "a", encoding="utf-8")
 
@@ -126,10 +133,16 @@ class JobStore:
         kind = entry.get("type")
         job_id = entry.get("id")
         if kind == "submitted":
+            try:
+                spec = JobSpec.from_dict(entry["spec"])
+            except JobError as error:
+                self.rejected_specs += 1
+                self.logger.event("job_rejected", id=job_id, error=str(error))
+                return
             job_key = entry.get("job_key")
             self._records[job_id] = JobRecord(
                 id=job_id,
-                spec=JobSpec.from_dict(entry["spec"]),
+                spec=spec,
                 job_key=job_key,
                 created_at=float(entry.get("at", 0.0)),
             )

@@ -482,8 +482,17 @@ class ProcessBackend(ExecutionBackend):
             shard.received_at = time.monotonic()
 
     def _repair_after_crash(self, crashed: List[_Shard]) -> None:
-        """Re-form the pool after one or more workers were lost."""
+        """Re-form the pool after one or more workers were lost.
+
+        A crashed shard's worker is replaced even when ``is_alive()``
+        still says True: the pipe reports EOF before the kernel has
+        reaped a killed child.
+        """
         try:
+            for shard in crashed:
+                self._discard_worker(shard.worker)
+                self._workers[shard.index] = self._spawn_worker(shard.index)
+                self._worker_restarts += 1
             self._ensure_workers_locked()
         except Exception:
             self._broken = True

@@ -28,7 +28,7 @@ Quickstart (in-process)::
 
     from repro.serve import AnalysisService
 
-    with AnalysisService(max_batch=16, max_wait=0.002) as service:
+    with AnalysisService() as service:
         record = service.analyze({"airfoil": "2412", "alpha_degrees": 4.0})
         print(record["cl"], service.metrics_snapshot()["cache"])
 
@@ -45,7 +45,7 @@ Quickstart (over HTTP)::
 See ``docs/serving.md`` for architecture and tuning.
 """
 
-from repro.serve.batcher import BatchPolicy, collect_batch, suggested_policy
+from repro.serve.batcher import BatchPolicy, collect_batch
 from repro.serve.cache import ResultCache
 from repro.serve.client import ServeClient
 from repro.serve.http import AnalysisHTTPServer, start_server
@@ -66,5 +66,4 @@ __all__ = [
     "WorkerPool",
     "collect_batch",
     "start_server",
-    "suggested_policy",
 ]

@@ -2,17 +2,17 @@
 
 Coalescing concurrent requests into stacks is the serving analogue of
 the paper's pipeline slicing: the offline pipeline cuts one huge batch
-into slices small enough to overlap assembly and solve, while the
-service glues many tiny requests into slices big enough to amortize
-per-call overhead.  Both land on the same sweet spot, so the default
-knobs here are derived from the pipeline's closed-form slicing
-heuristic (:func:`repro.pipeline.theory.optimal_slice_count`) rather
-than guessed.
+into slices so assembly overlaps the solve, while the service glues
+tiny requests into stacks big enough to amortize per-call overhead.
+The default batcher needs no timer for that.  It is work-conserving:
+a worker flushes as soon as the queue is empty, and the requests that
+queue while a solve runs make the next batch.  A flush deadline only
+adds latency when the queue is empty, so ``max_wait`` defaults to 0;
+an operator opts into a timer with ``--max-wait-ms``.
 
 Two pieces live here:
 
-* :class:`BatchPolicy` / :func:`suggested_policy` — the max-batch and
-  flush-deadline knobs;
+* :class:`BatchPolicy` — the max-batch and flush-deadline knobs;
 * :func:`collect_batch` — the queue-draining loop a worker runs to
   coalesce one micro-batch.
 """
@@ -20,7 +20,6 @@ Two pieces live here:
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import queue as queue_module
 import time
@@ -28,13 +27,9 @@ from typing import List, Optional, Tuple
 
 from repro.errors import ServeError
 
-#: Hard ceiling on a micro-batch: beyond this, stacking stops paying
-#: for the extra queueing latency at serving concurrency levels.
+#: The default micro-batch cap: beyond this, stacking stops paying for
+#: the extra queueing latency at serving concurrency levels.
 MAX_BATCH_CEILING = 64
-
-#: Flush-deadline clamp in seconds: never flush so eagerly that a
-#: same-millisecond burst is split, never hold a request visibly long.
-MIN_WAIT, MAX_WAIT = 5e-4, 5e-2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,11 +42,12 @@ class BatchPolicy:
         Flush as soon as this many requests are coalesced.
     max_wait:
         Flush when the oldest request in the forming batch has waited
-        this long (seconds), even if the batch is not full.
+        this long (seconds), even if the batch is not full.  The
+        default 0 flushes whatever is queued without waiting.
     """
 
-    max_batch: int = 32
-    max_wait: float = 0.005
+    max_batch: int = MAX_BATCH_CEILING
+    max_wait: float = 0.0
 
     def __post_init__(self) -> None:
         try:
@@ -70,52 +66,6 @@ class BatchPolicy:
         if not math.isfinite(wait) or wait < 0.0:
             raise ServeError(f"max_wait must be finite and >= 0, got {self.max_wait}")
         object.__setattr__(self, "max_wait", wait)
-
-
-@functools.lru_cache(maxsize=32)
-def _heuristic_knobs(n_panels: int) -> Tuple[int, float]:
-    """Slice-derived (max_batch, max_wait) defaults for one system size.
-
-    The paper's GA keeps ~4096 candidates in flight; the closed-form
-    slicing optimum for that workload on the reference workstation
-    gives the per-slice stack size the whole repo is tuned around.
-    That stack size (clamped) becomes ``max_batch``, and the simulated
-    host time to solve one such slice becomes the flush deadline —
-    waiting longer than one slice's worth of work costs more latency
-    than the batching saves.
-    """
-    from repro.hardware.host import paper_workstation
-    from repro.pipeline.theory import optimal_slice_count
-    from repro.pipeline.workload import Workload
-    from repro.precision import Precision
-
-    reference_batch = 4096
-    workload = Workload(batch=reference_batch, n=n_panels,
-                        precision=Precision.DOUBLE)
-    workstation = paper_workstation(sockets=2, accelerator="k80-half")
-    n_slices = optimal_slice_count(workload, workstation)
-    per_slice = max(1, reference_batch // max(1, n_slices))
-    max_batch = max(1, min(MAX_BATCH_CEILING, per_slice))
-    slice_solve = workstation.cpu.solve_seconds(per_slice, n_panels)
-    max_wait = min(MAX_WAIT, max(MIN_WAIT, slice_solve))
-    return max_batch, max_wait
-
-
-def suggested_policy(n_panels: int = 200, *, max_batch: Optional[int] = None,
-                     max_wait: Optional[float] = None) -> BatchPolicy:
-    """A :class:`BatchPolicy` seeded by the pipeline slicing heuristics.
-
-    Explicit ``max_batch`` / ``max_wait`` values override the derived
-    defaults individually, so operators can pin one knob and let the
-    heuristic pick the other.
-    """
-    if int(n_panels) < 3:
-        raise ServeError(f"n_panels must be at least 3, got {n_panels}")
-    derived_batch, derived_wait = _heuristic_knobs(int(n_panels))
-    return BatchPolicy(
-        max_batch=derived_batch if max_batch is None else max_batch,
-        max_wait=derived_wait if max_wait is None else max_wait,
-    )
 
 
 def collect_batch(source: "queue_module.Queue", first_item, policy: BatchPolicy, *,

@@ -10,10 +10,6 @@ shared handler owns everything that is the same on both front ends:
 * ``GET /metrics`` — the backend's metrics document (JSON);
   ``?format=prometheus`` or the ``/metrics/prometheus`` alias return
   text exposition format instead.
-* ``GET /debug/autotune`` — the autotuner's latest calibration, sweep,
-  and decision journal (404 unless ``--autotune`` is on;
-  ``?format=ascii`` for the rendered table where the tuner has one).
-  See ``docs/autotune.md``.
 * ``GET /jobs``, ``GET /jobs/<id>``, ``GET /jobs/<id>/events?since=N``,
   ``POST /jobs``, ``POST /jobs/<id>/cancel`` — parsed here; each front
   end supplies only the five backend calls.
@@ -194,11 +190,10 @@ class ReproHandler(BaseHTTPRequestHandler):
     """The handler base both front ends share.
 
     A subclass supplies its own routes (:meth:`_route_get`,
-    :meth:`_route_post`) and its backend: ``_metrics_document()``,
-    ``_autotuner()``, and the five jobs calls ``_jobs_list()``,
-    ``_job_get(id)``, ``_job_events(id, since)``,
-    ``_job_submit(payload)``, and ``_job_cancel(id)``, each returning
-    the JSON document to send.  Everything else — request-ID
+    :meth:`_route_post`) and its backend: ``_metrics_document()`` and
+    the five jobs calls ``_jobs_list()``, ``_job_get(id)``,
+    ``_job_events(id, since)``, ``_job_submit(payload)``, and
+    ``_job_cancel(id)``, each returning the JSON document to send.  Everything else — request-ID
     resolution, body plumbing, the shared routes, and the error →
     status map — lives here once.
     """
@@ -230,8 +225,6 @@ class ReproHandler(BaseHTTPRequestHandler):
             self._handle_metrics(query.get("format", ["json"])[-1])
         elif route == "/metrics/prometheus":
             self._handle_metrics("prometheus")
-        elif route == "/debug/autotune":
-            self._handle_debug_autotune(query)
         elif route == "/jobs" or route.startswith("/jobs/"):
             self._handle_jobs_get(route, query)
         else:
@@ -280,22 +273,6 @@ class ReproHandler(BaseHTTPRequestHandler):
             self._send_json(200, document)
         else:
             self._send_unknown_format("metrics", fmt, "json", "prometheus")
-
-    def _handle_debug_autotune(self, query: dict) -> None:
-        """``GET /debug/autotune`` — 404 when started without ``--autotune``."""
-        autotuner = self._autotuner()
-        if autotuner is None:
-            self._send_json(404, {"error": "autotuning is not enabled "
-                                           "(start with --autotune)",
-                                  "type": "NotFound"})
-            return
-        fmt = query.get("format", ["json"])[-1]
-        if fmt == "json":
-            self._send_json(200, autotuner.debug_document())
-        elif fmt == "ascii" and hasattr(autotuner, "render_table"):
-            self._send_text(autotuner.render_table())
-        else:
-            self._send_unknown_format("autotune", fmt, "json", "ascii")
 
     def _handle_jobs_get(self, route: str, query: dict) -> None:
         parts = [part for part in route.split("/") if part]
@@ -454,9 +431,6 @@ class _AnalysisHandler(ReproHandler):
 
     def _metrics_document(self) -> dict:
         return self.server.service.metrics_snapshot()
-
-    def _autotuner(self):
-        return self.server.service.autotuner
 
     def _handle_debug_trace(self, query: dict) -> None:
         service = self.server.service

@@ -47,7 +47,7 @@ from repro.obs.ids import coerce_request_id
 from repro.obs.logging import StructuredLogger
 from repro.obs.slo import SLOTracker
 from repro.obs.trace import Trace, walo_summary
-from repro.serve.batcher import BatchPolicy, suggested_policy
+from repro.serve.batcher import BatchPolicy
 from repro.serve.cache import ResultCache
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.tracing import (
@@ -94,16 +94,14 @@ class AnalysisService:
     Parameters
     ----------
     max_batch, max_wait:
-        Micro-batcher knobs; ``None`` derives either from the pipeline
-        slicing heuristics (see :func:`repro.serve.batcher.suggested_policy`).
+        Micro-batcher knobs; ``None`` keeps the :class:`BatchPolicy`
+        default for either (64 requests, flush when the queue is empty).
     cache_size:
         LRU capacity of the result cache (0 disables caching).
     n_workers:
         Worker threads coalescing and solving micro-batches.
     queue_limit:
         Admission bound; requests beyond it are shed.
-    n_panels_hint:
-        System size the derived batching defaults are tuned for.
     default_deadline_ms:
         Deadline budget applied to requests that do not carry their
         own (``None`` disables).  Expired requests are dropped at
@@ -151,22 +149,11 @@ class AnalysisService:
         ``slo_latency_ms`` milliseconds, and the burn rate measures the
         error budget ``1 - slo_target`` being spent.  See
         ``docs/observability.md``.
-    autotune:
-        Online autotuning mode: ``"off"`` (no controller),
-        ``"advise"`` (calibrate + recommend, journal only), or
-        ``"apply"`` (additionally swap the live batching policy).
-        ``None`` reads ``REPRO_AUTOTUNE`` once at construction
-        (default off).  See ``docs/autotune.md``.
-    autotune_interval, autotune_min_improvement:
-        Control-loop period in seconds and the hysteresis threshold
-        (minimum predicted fractional improvement before the
-        controller advises or applies anything).
     """
 
     def __init__(self, *, max_batch: Optional[int] = None,
                  max_wait: Optional[float] = None, cache_size: int = 1024,
                  n_workers: int = 2, queue_limit: int = 256,
-                 n_panels_hint: int = 200,
                  default_deadline_ms: Optional[float] = None,
                  trace_sample: float = 1.0, trace_ring: int = 256,
                  logger: Optional[StructuredLogger] = None,
@@ -176,13 +163,10 @@ class AnalysisService:
                  jobs_dir: Optional[str] = None,
                  job_slots: int = 1,
                  slo_latency_ms: float = 250.0,
-                 slo_target: float = 0.99,
-                 autotune: Optional[str] = None,
-                 autotune_interval: float = 30.0,
-                 autotune_min_improvement: float = 0.10) -> None:
-        self.policy: BatchPolicy = suggested_policy(
-            n_panels_hint, max_batch=max_batch, max_wait=max_wait
-        )
+                 slo_target: float = 0.99) -> None:
+        knobs = {"max_batch": max_batch, "max_wait": max_wait}
+        self.policy = BatchPolicy(**{name: value for name, value in knobs.items()
+                                     if value is not None})
         self.default_deadline_ms = (
             None if default_deadline_ms is None
             else validate_deadline_ms(default_deadline_ms)
@@ -226,19 +210,6 @@ class AnalysisService:
                 store, slots=job_slots, exec_backend=self._exec_backend,
                 kernel=self.assembly_kernel, tracer=self.tracer,
             ).start()
-        #: The :class:`~repro.tune.AutotuneController` when autotuning
-        #: is enabled, else ``None`` (the HTTP layer 404s its route).
-        self.autotuner = None
-        from repro.tune.controller import AutotuneConfig, resolve_mode
-
-        mode = resolve_mode(autotune)
-        if mode != "off":
-            from repro.tune.controller import AutotuneController
-
-            self.autotuner = AutotuneController(self, AutotuneConfig(
-                mode=mode, interval=autotune_interval,
-                min_improvement=autotune_min_improvement,
-            ))
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -256,24 +227,9 @@ class AnalysisService:
         return self._pool.n_workers
 
     @property
-    def draining(self) -> bool:
-        """True once shutdown has begun (the autotuner must not act)."""
-        return self._closed or self._pool.draining
-
-    @property
     def execution_backend(self):
         """The backend micro-batches run on (borrowed; do not close)."""
         return self._exec_backend
-
-    def apply_policy(self, policy: BatchPolicy) -> None:
-        """Swap the live batching policy (the autotuner's apply path).
-
-        Atomic at batch granularity (see
-        :meth:`~repro.serve.workers.WorkerPool.set_policy`); refused
-        while the service is draining.
-        """
-        self._pool.set_policy(policy)
-        self.policy = policy
 
     def submit(self, request: RequestLike, *,
                deadline_ms: Optional[float] = None,
@@ -623,8 +579,6 @@ class AnalysisService:
         snapshot["assembly_kernel"] = self.assembly_kernel
         if self.jobs is not None:
             snapshot["jobs"] = self.jobs.metrics_snapshot()
-        if self.autotuner is not None:
-            snapshot["autotune"] = self.autotuner.snapshot()
         return snapshot
 
     def recent_traces(self, n: Optional[int] = None) -> List[Trace]:
@@ -651,16 +605,13 @@ class AnalysisService:
     def close(self, timeout: float = 10.0) -> bool:
         """Drain accepted work and stop the workers (idempotent).
 
-        The autotuner stops first (a retune must never race a drain),
-        then the job runner (running jobs checkpoint and stay
+        The job runner stops first (running jobs checkpoint and stay
         resumable); a service-owned execution backend is closed only
         after the thread pool drains, so in-flight micro-batches keep
         their worker processes until the last solve lands.
         """
         self._closed = True
         drained = True
-        if self.autotuner is not None:
-            self.autotuner.close()
         if self.jobs is not None:
             drained = self.jobs.close(timeout=timeout) and drained
             self.jobs.store.close()

@@ -197,24 +197,6 @@ class WorkerPool:
         """The batching policy workers coalesce under."""
         return self._policy
 
-    def set_policy(self, policy: BatchPolicy) -> None:
-        """Swap the batching policy (the autotuner's apply path).
-
-        Workers read ``self._policy`` once per batch collection, so the
-        swap is atomic at batch granularity — in-flight batches finish
-        under the old policy, the next collection uses the new one.
-        Refused while draining: shutdown semantics were negotiated under
-        the old policy.
-        """
-        if not isinstance(policy, BatchPolicy):
-            raise ServeError(
-                f"set_policy needs a BatchPolicy, got {type(policy).__name__}"
-            )
-        with self._admission_lock:
-            if self._draining.is_set():
-                raise ServeError("cannot retune a draining pool")
-            self._policy = policy
-
     @property
     def n_workers(self) -> int:
         """Number of worker threads."""
@@ -229,11 +211,6 @@ class WorkerPool:
     def queue_depth(self) -> int:
         """Approximate number of requests waiting (racy by nature)."""
         return self._queue.qsize()
-
-    @property
-    def draining(self) -> bool:
-        """True once shutdown has begun; submissions are refused."""
-        return self._draining.is_set()
 
     def submit(self, item) -> None:
         """Admit one item, or shed it.

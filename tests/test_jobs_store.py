@@ -1,7 +1,9 @@
 """Tests for the durable job store: specs, journal replay, checkpoints."""
 
+import io
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from repro.jobs import (
     rng_state_to_dict,
 )
 from repro.jobs.store import JOURNAL_NAME
+from repro.obs.logging import StructuredLogger
 from repro.optimize import FitnessEvaluator, GAConfig, GeneticOptimizer, GenomeLayout
 
 
@@ -216,6 +219,70 @@ class TestJournalReplay:
         reopened = JobStore(str(tmp_path))
         assert reopened.get(record.id).resumes == 1
         reopened.close()
+
+
+class TestRejectedSpecReplay:
+    """A journal written under looser spec validation (a fractional,
+    string or oversized ``n_panels``) must not stop the directory from
+    opening: that one job is skipped and counted, every other job still
+    replays and resumes."""
+
+    GOOD = {"seed": 3, "checkpoint_every": 1,
+            "ga": {"population_size": 6, "generations": 2},
+            "fitness": {"n_panels": 40}}
+
+    def write_journal(self, tmp_path, bad_n_panels):
+        bad = dict(self.GOOD, fitness={"n_panels": bad_n_panels})
+        entries = [
+            {"type": "submitted", "id": "job-old", "spec": bad, "at": 1.0},
+            {"type": "state", "id": "job-old", "state": "RUNNING", "at": 2.0},
+            {"type": "progress", "id": "job-old", "generation": 0,
+             "best_fitness": 1.0, "seq": 1},
+            {"type": "submitted", "id": "job-good", "spec": self.GOOD,
+             "at": 3.0},
+        ]
+        (tmp_path / JOURNAL_NAME).write_text(
+            "".join(json.dumps(entry) + "\n" for entry in entries),
+            encoding="utf-8")
+
+    @pytest.mark.parametrize("bad_n_panels", [200.5, "60", MAX_WIRE_PANELS + 2])
+    def test_store_skips_and_counts_the_rejected_job(self, tmp_path,
+                                                     bad_n_panels):
+        self.write_journal(tmp_path, bad_n_panels)
+        stream = io.StringIO()
+        store = JobStore(str(tmp_path), logger=StructuredLogger("json", stream))
+        try:
+            assert store.rejected_specs == 1
+            assert store.torn_lines == 0
+            assert [record.id for record in store.list()] == ["job-good"]
+            assert [record.id for record in store.resumable()] == ["job-good"]
+            with pytest.raises(JobNotFoundError):
+                store.get("job-old")
+        finally:
+            store.close()
+        events = [json.loads(line) for line in stream.getvalue().splitlines()]
+        rejected = [event for event in events
+                    if event["event"] == "job_rejected"]
+        assert len(rejected) == 1
+        assert rejected[0]["id"] == "job-old"
+        assert "n_panels" in rejected[0]["error"]
+
+    def test_service_starts_and_resumes_the_valid_job(self, tmp_path):
+        from repro.serve import AnalysisService
+
+        self.write_journal(tmp_path, 200.5)
+        service = AnalysisService(n_workers=1, jobs_dir=str(tmp_path))
+        try:
+            jobs = service.metrics_snapshot()["jobs"]
+            assert jobs["rejected_specs"] == 1
+            assert jobs["torn_journal_lines"] == 0
+            deadline = time.monotonic() + 120.0
+            while not service.jobs.store.get("job-good").terminal:
+                assert time.monotonic() < deadline, "job did not finish"
+                time.sleep(0.02)
+            assert service.jobs.store.get("job-good").state == JobState.DONE
+        finally:
+            assert service.close()
 
 
 class TestCheckpoints:

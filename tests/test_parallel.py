@@ -286,6 +286,33 @@ class TestCrashContainment:
         finally:
             backend.close()
 
+    def test_crash_repair_does_not_trust_is_alive(self):
+        """The pipe reports EOF before the kernel has reaped a killed
+        child, so ``is_alive()`` can still say True during repair; the
+        crashed shard's worker must be replaced all the same."""
+        requests = requests_mixed()
+        backend = make_backend("process", n_procs=2)
+        try:
+            def kill_first_shard(shard_index, worker):
+                if shard_index == 0:
+                    os.kill(worker.process.pid, signal.SIGKILL)
+                    worker.process.join()
+                    worker.process.is_alive = lambda: True  # not yet reaped
+
+            backend._after_dispatch = kill_first_shard
+            backend.solve(requests)
+            backend._after_dispatch = None
+            stats = backend.stats()
+            assert stats["worker_crashes"] == 1
+            assert stats["worker_restarts"] == 1
+            assert stats["alive_workers"] == 2
+            baseline = serialized(requests, evaluate_requests(requests))
+            assert serialized(
+                requests, evaluate_requests(requests, backend=backend)
+            ) == baseline
+        finally:
+            backend.close()
+
     def test_crashed_shard_error_is_a_serve_error(self):
         # The serving path re-raises failures as fresh clones built
         # from .args; the error must survive that round trip.

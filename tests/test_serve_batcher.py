@@ -1,4 +1,4 @@
-"""Tests for micro-batch collection and the slicing-derived policy."""
+"""Tests for micro-batch collection and the work-conserving default policy."""
 
 import queue
 import time
@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ServeError
-from repro.serve import BatchPolicy, collect_batch, suggested_policy
-from repro.serve.batcher import MAX_BATCH_CEILING, MAX_WAIT, MIN_WAIT
+from repro.serve import AnalysisService, BatchPolicy, WorkerPool, collect_batch
+from repro.serve.batcher import MAX_BATCH_CEILING
 
 
 class TestBatchPolicy:
@@ -238,22 +238,67 @@ class TestDeadlineAnchoring:
         assert elapsed < 0.1
 
 
-class TestSuggestedPolicy:
-    def test_derived_knobs_respect_clamps(self):
-        policy = suggested_policy(200)
-        assert 1 <= policy.max_batch <= MAX_BATCH_CEILING
-        assert MIN_WAIT <= policy.max_wait <= MAX_WAIT
+class _RecordingQueue(queue.Queue):
+    """A queue that records the timeout of every blocking ``get``."""
 
-    def test_explicit_overrides_win_individually(self):
-        policy = suggested_policy(200, max_batch=7)
-        assert policy.max_batch == 7
-        assert MIN_WAIT <= policy.max_wait <= MAX_WAIT  # still derived
-        policy = suggested_policy(200, max_wait=0.001)
-        assert policy.max_wait == 0.001
+    def __init__(self):
+        super().__init__()
+        self.blocking_gets = []
 
-    def test_deterministic_per_system_size(self):
-        assert suggested_policy(160) == suggested_policy(160)
+    def get(self, block=True, timeout=None):
+        if block:
+            self.blocking_gets.append(timeout)
+        return super().get(block, timeout)
 
-    def test_invalid_n_panels(self):
-        with pytest.raises(ServeError):
-            suggested_policy(2)
+
+class TestWorkConservingDefault:
+    """``BatchPolicy()`` flushes whatever is queued and never waits for
+    batchmates: requests that queue while a solve runs form the next
+    batch, so no timer is needed."""
+
+    def test_default_is_64_with_no_wait(self):
+        assert BatchPolicy() == BatchPolicy(MAX_BATCH_CEILING, 0.0)
+        assert BatchPolicy() == BatchPolicy(64, 0.0)
+
+    def test_lone_item_returns_without_a_blocking_get(self):
+        source = _RecordingQueue()
+        items, saw = collect_batch(source, "only", BatchPolicy(),
+                                   clock=lambda: 100.0,
+                                   enqueued_at=lambda item: 100.0)
+        assert items == ["only"] and not saw
+        assert source.blocking_gets == []
+
+    def test_lone_item_without_enqueue_stamps(self):
+        source = _RecordingQueue()
+        items, _ = collect_batch(source, "only", BatchPolicy(),
+                                 clock=lambda: 7.0)
+        assert items == ["only"]
+        assert source.blocking_gets == []
+
+    @pytest.mark.parametrize("k", [2, 5, MAX_BATCH_CEILING])
+    def test_backlog_of_k_flushes_as_one_batch(self, k):
+        source = _RecordingQueue()
+        for index in range(1, k):
+            source.put(index)
+        items, saw = collect_batch(source, 0, BatchPolicy(),
+                                   clock=lambda: 100.0,
+                                   enqueued_at=lambda item: 100.0)
+        assert items == list(range(k)) and not saw
+        assert source.blocking_gets == []
+        assert source.qsize() == 0
+
+    def test_pool_and_service_share_the_default(self):
+        pool = WorkerPool(lambda items: None, n_workers=1)
+        try:
+            assert pool.policy == BatchPolicy()
+        finally:
+            pool.shutdown()
+        with AnalysisService(n_workers=1) as service:
+            assert service.policy == BatchPolicy()
+            assert service._pool.policy == BatchPolicy()
+
+    def test_service_overrides_win_individually(self):
+        with AnalysisService(n_workers=1, max_wait=0.002) as service:
+            assert service.policy == BatchPolicy(MAX_BATCH_CEILING, 0.002)
+        with AnalysisService(n_workers=1, max_batch=7) as service:
+            assert service.policy == BatchPolicy(7, 0.0)

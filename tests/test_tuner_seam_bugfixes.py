@@ -1,4 +1,4 @@
-"""Regression tests for the tuner/metrics seams the autotuner consumes.
+"""Regression tests for the offline pipeline tuners and the serving metrics.
 
 Each test class pins one of the PR's satellite bugfixes:
 
